@@ -4,7 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <optional>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 
@@ -22,6 +22,10 @@ std::unique_ptr<sched::policy> engine::resolve_policy(
 }
 
 run_result engine::run(const scenario& scn) const {
+  return run_in(scn, nullptr);
+}
+
+run_result engine::run_in(const scenario& scn, kibam::soa_bank* lane) const {
   require(!scn.batteries.empty(), "engine: scenario needs >= 1 battery");
   const load::trace trace = scn.load.materialize();
   const std::unique_ptr<sched::policy> pol = resolve_policy(scn);
@@ -32,30 +36,18 @@ run_result engine::run(const scenario& scn) const {
   // state representation the run advances.
   switch (scn.model) {
     case fidelity::discrete:
-      out.sim = sched::simulate_discrete(kibam::bank{scn.batteries,
-                                                     scn.steps},
-                                         trace, *pol, scn.sim);
+      out.sim = lane != nullptr
+                    ? sched::simulate_discrete_lane(lane->source(), *lane, 0,
+                                                    trace, *pol, scn.sim)
+                    : sched::simulate_discrete(
+                          kibam::bank{scn.batteries, scn.steps}, trace, *pol,
+                          scn.sim);
       break;
     case fidelity::continuous:
       out.sim = sched::simulate_continuous(scn.batteries, trace, *pol,
                                            scn.sim);
       break;
   }
-  out.policy_name = pol->name();
-  out.search = pol->stats();
-  return out;
-}
-
-run_result engine::run_lane(const scenario& scn, const kibam::bank& bank,
-                            kibam::soa_bank& soa, std::size_t lane) const {
-  // The batched twin of run() at discrete fidelity: the bank was built
-  // once from this scenario's (batteries, steps) by the caller, and the
-  // backend resets and steps lane `lane` of the shared state block.
-  const load::trace trace = scn.load.materialize();
-  const std::unique_ptr<sched::policy> pol = resolve_policy(scn);
-  run_result out;
-  out.sim = sched::simulate_discrete_lane(bank, soa, lane, trace, *pol,
-                                          scn.sim);
   out.policy_name = pol->name();
   out.search = pol->stats();
   return out;
@@ -70,8 +62,9 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
 
   BSCHED_TRACE_SPAN(sweep_span, "engine.run_sweep");
   // Pool threads open their spans against this id explicitly — the
-  // per-thread parent stack does not cross threads.
-  const std::uint64_t sweep_parent = sweep_span.id();
+  // per-thread parent stack does not cross threads. (Unread when the
+  // BSCHED_OBS=OFF macros drop their arguments.)
+  [[maybe_unused]] const std::uint64_t sweep_parent = sweep_span.id();
 
   // Dedup pass: one job per distinct effective scenario, in first-seen
   // grid order. Duplicate (cell, replication) items — repeated grid cells,
@@ -133,62 +126,8 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   if (n_threads == 0) n_threads = std::thread::hardware_concurrency();
   n_threads = std::clamp<std::size_t>(n_threads, 1, jobs.size());
 
-  // Batch plan: discrete-fidelity jobs that share a bank, grid and
-  // simulator options (replications of one cell, or grid cells varying
-  // only load/policy) evaluate as lanes of one shared kibam::soa_bank —
-  // one discretization build and one contiguous state block per batch.
-  // Batches are capped so a multi-threaded sweep still spreads across
-  // the pool; everything else rides in a singleton batch through run().
-  const std::size_t max_lanes = std::max<std::size_t>(
-      1,
-      std::min<std::size_t>(32, (jobs.size() + n_threads - 1) / n_threads));
-  std::vector<std::vector<std::size_t>> batches;
-  {
-    std::vector<std::size_t> open;  // batchable batches still below the cap
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const scenario& scn = jobs[j];
-      const bool batchable =
-          scn.model == fidelity::discrete && !scn.batteries.empty();
-      if (!batchable || max_lanes == 1) {
-        batches.push_back({j});
-        continue;
-      }
-      std::size_t slot = open.size();
-      for (std::size_t o = 0; o < open.size(); ++o) {
-        const scenario& lead = jobs[batches[open[o]].front()];
-        if (lead.batteries == scn.batteries && lead.steps == scn.steps &&
-            lead.sim == scn.sim) {
-          slot = o;
-          break;
-        }
-      }
-      if (slot == open.size()) {
-        open.push_back(batches.size());
-        batches.push_back({j});
-        continue;
-      }
-      std::vector<std::size_t>& members = batches[open[slot]];
-      members.push_back(j);
-      if (members.size() >= max_lanes) open.erase(open.begin() + slot);
-    }
-  }
-
   std::vector<run_result> results(jobs.size());
   std::vector<std::atomic<bool>> done(jobs.size());
-
-  const auto evaluate = [&](std::size_t j) noexcept {
-    BSCHED_TRACE_SPAN(job_span, "engine.job", sweep_parent);
-    try {
-      results[j] = run(jobs[j]);
-    } catch (const std::exception& e) {
-      results[j] = run_result{};
-      results[j].error = e.what();
-    } catch (...) {
-      results[j] = run_result{};
-      results[j].error = "unknown error";
-    }
-    done[j].store(true, std::memory_order_release);
-  };
 
   // Ordered streaming delivery: after every evaluation, whichever worker
   // holds the mutex flushes the contiguous run of grid items whose jobs
@@ -230,38 +169,47 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
     }
   };
 
-  // Evaluates a batch: one shared bank + soa_bank, one lane per job.
-  // Construction failures (invalid grids) fall back to the per-job path
-  // so the error lands on every affected job exactly as run() reports it.
-  const auto evaluate_batch = [&](const std::vector<std::size_t>& members)
-      noexcept {
-    BSCHED_HISTOGRAM_OBSERVE("engine.batch_lanes",
-                             static_cast<double>(members.size()), 1, 2, 4, 8,
-                             16, 32);
-    if (members.size() == 1) {
-      evaluate(members.front());
-      flush();
-      return;
-    }
-    BSCHED_TRACE_SPAN(batch_span, "engine.batch", sweep_parent);
-    std::optional<kibam::bank> bank;
-    std::optional<kibam::soa_bank> soa;
-    try {
-      const scenario& lead = jobs[members.front()];
-      bank.emplace(lead.batteries, lead.steps);
-      soa.emplace(*bank, members.size());
-    } catch (...) {
-      for (const std::size_t j : members) {
-        evaluate(j);
-        flush();
+  // Dynamic scheduling: each worker pulls the next job in grid order, so
+  // long jobs (exact searches on heavy loads) never queue behind each
+  // other on one thread while others idle. A discrete job runs in a
+  // one-lane soa_bank from its worker's cache of banks by (batteries,
+  // steps) — the simulator resets the lane — so a worker builds each bank
+  // shape once, not once per job. Continuous jobs, empty banks and banks
+  // that fail to build run as run() does, which reports the error.
+  struct lane_model {
+    explicit lane_model(const scenario& scn)
+        : key(&scn), bank(scn.batteries, scn.steps) {}
+    const scenario* key;  // a job with this (batteries, steps)
+    kibam::bank bank;
+    kibam::soa_bank soa{bank, 1};
+  };
+  constexpr std::size_t max_cached_banks = 8;  // bounds memory per worker
+
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&]() noexcept {
+    std::vector<std::unique_ptr<lane_model>> cache;
+    const auto lane_for = [&](const scenario& scn) -> kibam::soa_bank* {
+      if (scn.model != fidelity::discrete || scn.batteries.empty()) {
+        return nullptr;
       }
-      return;
-    }
-    for (std::size_t lane = 0; lane < members.size(); ++lane) {
-      const std::size_t j = members[lane];
+      const auto hit = std::find_if(cache.begin(), cache.end(), [&](auto& m) {
+        return m->key->batteries == scn.batteries && m->key->steps == scn.steps;
+      });
+      if (hit != cache.end()) return &(*hit)->soa;
       try {
-        BSCHED_TRACE_SPAN(lane_span, "engine.job", batch_span.id());
-        results[j] = run_lane(jobs[j], *bank, *soa, lane);
+        if (cache.size() == max_cached_banks) cache.erase(cache.begin());
+        cache.push_back(std::make_unique<lane_model>(scn));
+      } catch (...) {
+        return nullptr;  // run() reproduces the build error
+      }
+      BSCHED_COUNTER_ADD("engine.bank_builds_total", 1);
+      return &cache.back()->soa;
+    };
+    for (std::size_t j = next.fetch_add(1); j < jobs.size();
+         j = next.fetch_add(1)) {
+      try {
+        BSCHED_TRACE_SPAN(job_span, "engine.job", sweep_parent);
+        results[j] = run_in(jobs[j], lane_for(jobs[j]));
       } catch (const std::exception& e) {
         results[j] = run_result{};
         results[j].error = e.what();
@@ -271,14 +219,6 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
       }
       done[j].store(true, std::memory_order_release);
       flush();
-    }
-  };
-
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&]() noexcept {
-    for (std::size_t b = next.fetch_add(1); b < batches.size();
-         b = next.fetch_add(1)) {
-      evaluate_batch(batches[b]);
     }
   };
 

@@ -16,10 +16,11 @@
 // `run_sweep` evaluates a replicated scenario grid (api/sweep.hpp) on
 // `n_threads` workers, streaming every completed run_result through a
 // result_sink in deterministic grid order and caching duplicate cells by
-// value. `run_batch` is a thin collecting sink over run_sweep. Scenarios
-// are self-contained (per-scenario RNG seeding, no shared state), so
-// sweep aggregates and batch results are byte-identical whatever the
-// thread count — determinism is asserted in tests/test_api.cpp and
+// value; workers pull jobs one at a time, so long jobs run side by side.
+// `run_batch` is a thin collecting sink over run_sweep. Scenarios are
+// self-contained (per-scenario RNG seeding, no shared state), so sweep
+// aggregates and batch results are byte-identical whatever the thread
+// count — determinism is asserted in tests/test_api.cpp and
 // tests/test_sweep.cpp.
 #pragma once
 
@@ -94,12 +95,12 @@ class engine {
   [[nodiscard]] std::vector<std::string> policy_names() const;
 
  private:
-  /// run(), but with the discrete backend's state in lane `lane` of a
-  /// shared soa_bank — the batched-evaluation path of run_sweep.
-  [[nodiscard]] run_result run_lane(const scenario& scn,
-                                    const kibam::bank& bank,
-                                    kibam::soa_bank& soa,
-                                    std::size_t lane) const;
+  /// run(), but a discrete run steps lane 0 of `lane` — a caller-owned
+  /// soa_bank over a bank built from scn's (batteries, steps) — instead
+  /// of building its own (null: as run()). run_sweep's workers reuse one
+  /// bank per shape this way.
+  [[nodiscard]] run_result run_in(const scenario& scn,
+                                  kibam::soa_bank* lane) const;
 
   engine_options opts_;
 };

@@ -1,11 +1,8 @@
-// Structure-of-arrays dKiBaM state for batched evaluation.
+// Structure-of-arrays dKiBaM state: independent lanes of one bank.
 //
-// A sweep cell replicated R times advances R independent copies of the
-// same bank against closely related loads. Keeping those copies as R
-// vectors of discrete_state scatters the hot counters across the heap;
-// soa_bank instead stores `lanes x batteries` states as parallel arrays
-// (one contiguous block per counter, lane-major), so a worker that
-// round-robins replications of one cell walks memory linearly and all
+// soa_bank stores `lanes x batteries` states as parallel arrays (one
+// contiguous block per counter, lane-major) instead of per-lane vectors
+// of discrete_state, so the hot counters of a lane sit together and all
 // lanes share the bank's per-type discretizations (and their precomputed
 // recovery tables) through one pointer.
 //
@@ -14,8 +11,8 @@
 // are bit-identical to bank::step_all on that vector — step_lane is the
 // per-tick reference, advance_lane the event-horizon kernel (see
 // kibam/advance.hpp). The simulator's discrete backend runs every run in
-// a lane; engine::run_sweep packs replications of one cell into one
-// soa_bank.
+// a lane; engine::run_sweep keeps one one-lane soa_bank per bank shape
+// and worker and reuses it across that worker's jobs.
 #pragma once
 
 #include <cstdint>

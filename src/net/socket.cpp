@@ -21,7 +21,12 @@ namespace {
 using clock = std::chrono::steady_clock;
 
 [[noreturn]] void fail_errno(const std::string& what) {
-  throw error("net: " + what + ": " + std::strerror(errno));
+  const int err = errno;
+  const std::string message = "net: " + what + ": " + std::strerror(err);
+  if (err == ECONNREFUSED || err == ECONNRESET || err == EPIPE) {
+    throw peer_gone(message);
+  }
+  throw error(message);
 }
 
 /// Milliseconds left until `deadline`, clamped at 0. A negative
@@ -105,23 +110,29 @@ connection connection::dial(const std::string& host, std::uint16_t port,
   }
   const auto deadline = clock::now() + std::chrono::milliseconds(timeout_ms);
   std::string last_error = "no addresses";
+  bool refused = res != nullptr;  // every address refused so far
   for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
     const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
     if (fd < 0) {
       last_error = std::strerror(errno);
+      refused = false;
       continue;
     }
     if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
       ::freeaddrinfo(res);
       return connection{fd};
     }
+    // A reset mid-handshake: the listener closed while we were queued.
+    refused = refused && (errno == ECONNREFUSED || errno == ECONNRESET);
     last_error = std::strerror(errno);
     (void)::close(fd);
     if (clock::now() >= deadline) break;
   }
   ::freeaddrinfo(res);
-  throw error("net: cannot connect to " + host + ":" + service + ": " +
-              last_error);
+  const std::string why =
+      "net: cannot connect to " + host + ":" + service + ": " + last_error;
+  if (refused) throw peer_gone(why);
+  throw error(why);
 }
 
 void connection::send_frame(std::string_view payload, int timeout_ms) {
@@ -191,7 +202,7 @@ std::optional<std::string> connection::recv_frame(int timeout_ms) {
     const int left = timeout_ms == 0 ? 0 : remaining_ms(deadline);
     if (!poll_one(fd_, POLLIN, left)) return std::nullopt;  // timed out
     if (!fill()) {
-      throw error("net: connection closed by peer");
+      throw peer_gone("net: connection closed by peer");
     }
     if (auto frame = take_frame()) return frame;
     if (left == 0) return std::nullopt;  // polled, partial frame only

@@ -25,11 +25,21 @@
 #include <string>
 #include <string_view>
 
+#include "util/error.hpp"
+
 namespace bsched::net {
 
 /// Frames larger than this are refused on both ends — a corrupt or
 /// hostile length prefix must not trigger a multi-gigabyte allocation.
 inline constexpr std::size_t max_frame_bytes = 256u << 20;
+
+/// The other end is not, or no longer, there: the connection was
+/// refused, reset or closed by the peer — as opposed to a timeout or a
+/// malformed frame, which throw plain bsched::error.
+class peer_gone : public error {
+ public:
+  using error::error;
+};
 
 /// A connected TCP stream speaking length-prefixed frames. Move-only;
 /// closes its descriptor on destruction.
@@ -45,7 +55,9 @@ class connection {
   ~connection();
 
   /// Connects to host:port (numeric or resolvable name). Throws
-  /// bsched::error when resolution, connection or the deadline fails.
+  /// peer_gone when every address refused or reset the connection
+  /// (nothing listens on the port), bsched::error when resolution,
+  /// connection or the deadline fails otherwise.
   [[nodiscard]] static connection dial(const std::string& host,
                                        std::uint16_t port, int timeout_ms);
 

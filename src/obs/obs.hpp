@@ -18,8 +18,8 @@
 //   var.id()                       span id (0 if disabled)  0
 //
 // BSCHED_TRACE_SPAN takes (var, "name") or (var, "name", parent_id); the
-// extra parent form is how cross-thread children (the sweep pool) link
-// to the batch span on the submitting thread. `var.id()` compiles in
+// extra parent form is how the sweep pool's engine.job spans link to the
+// engine.run_sweep span of the submitting thread. `var.id()` compiles in
 // both modes, so parent ids can be captured unconditionally.
 //
 // Direct use of obs::detail outside src/obs is a lint finding

@@ -101,8 +101,8 @@ sim_result run_simulation(Model& model, const load::trace& load, policy& pol,
 /// representation the exact search and the rollout scheduler advance.
 ///
 /// Per-battery state lives in one lane of a kibam::soa_bank: a standalone
-/// run owns a private one-lane soa_bank, while engine::run_sweep hands
-/// replications of one sweep cell neighbouring lanes of a shared block
+/// run owns a private one-lane soa_bank, while engine::run_sweep lends
+/// each job a cached bank and soa_bank of its worker
 /// (simulate_discrete_lane below). Time advances through the event-horizon
 /// kernel unless a trace is recorded — recording samples every tick, so it
 /// keeps the per-tick reference path; both are bit-identical per step.
@@ -356,8 +356,8 @@ class discrete_model : public model_view {
     return true;
   }
 
-  // Owned storage for the standalone entry points; the batched entry
-  // borrows both from engine::run_sweep instead.
+  // Owned storage for the standalone entry points; the lane entry
+  // borrows both from its caller (engine::run_sweep) instead.
   std::optional<kibam::bank> owned_bank_;
   std::optional<kibam::soa_bank> owned_soa_;
   const kibam::bank* bank_ = nullptr;

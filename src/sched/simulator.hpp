@@ -87,10 +87,9 @@ struct sim_result {
                                            policy& pol,
                                            const sim_options& opts = {});
 
-/// Discrete simulation running its state in lane `lane` of a shared
-/// kibam::soa_bank (reset to full at run start) — the batched-evaluation
-/// entry engine::run_sweep uses to step replications of one sweep cell
-/// through one cache-friendly state block. Bit-identical to
+/// Discrete simulation running its state in lane `lane` of a caller-owned
+/// kibam::soa_bank (reset to full at run start), so engine::run_sweep
+/// can reuse one bank across jobs. Bit-identical to
 /// simulate_discrete(bank, ...); `soa` must wrap `bank`.
 [[nodiscard]] sim_result simulate_discrete_lane(const kibam::bank& bank,
                                                 kibam::soa_bank& soa,

@@ -494,6 +494,14 @@ struct coordinator::impl {
     }
   }
 
+  /// Accepts one pending connection as a not-yet-greeted peer.
+  void admit() {
+    peer_state peer;
+    peer.conn = lst.accept();
+    const int fd = peer.conn.fd();
+    peers.emplace(fd, std::move(peer));
+  }
+
   dist::shard_aggregate run() {
     const auto start = clk->now();
     started = start;
@@ -555,12 +563,7 @@ struct coordinator::impl {
       }
       if (rc == 0) continue;
 
-      if ((fds[0].revents & POLLIN) != 0) {
-        peer_state peer;
-        peer.conn = lst.accept();
-        const int fd = peer.conn.fd();
-        peers.emplace(fd, std::move(peer));
-      }
+      if ((fds[0].revents & POLLIN) != 0) admit();
       const auto after = clk->now();
       for (std::size_t i = 1; i < fds.size(); ++i) {
         if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
@@ -583,6 +586,18 @@ struct coordinator::impl {
         }
       }
     }
+
+    // The merge is complete: stop taking workers. Connections still in
+    // the accept backlog are admitted so the shutdown below reaches them;
+    // a worker dialing after the close is refused. Both are late joiners,
+    // and run_worker exits cleanly with zero leases on either.
+    try {
+      pollfd q{lst.fd(), POLLIN, 0};
+      while (::poll(&q, 1, 0) > 0 && (q.revents & POLLIN) != 0) admit();
+    } catch (const error&) {
+      // A queued connection aborted; nobody is left to tell.
+    }
+    lst.close();
 
     emit_progress();
     if (opts.on_telemetry) opts.on_telemetry(telemetry());

@@ -131,9 +131,10 @@ class coordinator {
 
   [[nodiscard]] std::uint16_t port() const noexcept;
 
-  /// Serves until every item of the sweep has been folded, then shuts
-  /// connected workers down and returns the merged aggregate (equivalent
-  /// to running dist::merge_shards over a disjoint shard tiling). Throws
+  /// Serves until every item of the sweep has been folded, then closes
+  /// the listener, shuts down every worker connected or queued, and
+  /// returns the merged aggregate (equivalent to running
+  /// dist::merge_shards over a disjoint shard tiling). Throws
   /// bsched::error if deadline_s elapses first.
   [[nodiscard]] dist::shard_aggregate run();
 

@@ -68,7 +68,7 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
   while (done < last) {
     sh.first = done;
     sh.last = std::min(done + ctx.chunk, last);
-    const auto chunk_start = ctx.clk->now();
+    [[maybe_unused]] const auto chunk_start = ctx.clk->now();
     merger.add(dist::run_shard(engine, sh, n_threads));
     BSCHED_HISTOGRAM_OBSERVE(
         "svc.worker.chunk_seconds",
@@ -161,24 +161,36 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
 worker_report run_worker(const api::engine& engine,
                          const worker_options& opts) {
   session_ctx ctx;
-  ctx.conn = net::connection::dial(opts.host, opts.port, opts.dial_timeout_ms);
   ctx.io_timeout_ms = opts.io_timeout_ms;
   ctx.name = opts.name;
   ctx.log_stream = opts.log;
   ctx.clk = opts.clock != nullptr ? opts.clock
                                   : &util::monotonic_clock::system();
 
-  net::message hello = net::make("hello");
-  hello.fields["proto"] = std::to_string(net::protocol_version);
-  hello.fields["name"] = opts.name;
-  ctx.conn.send_frame(net::encode(hello), opts.io_timeout_ms);
-
-  const net::message sweep_msg = ctx.recv("the sweep definition");
+  // A coordinator closes its listener once the sweep is merged and hangs
+  // up on connections still queued, so a peer gone before the sweep
+  // arrives is a late joiner: nothing is left to do.
+  net::message sweep_msg;
+  try {
+    ctx.conn =
+        net::connection::dial(opts.host, opts.port, opts.dial_timeout_ms);
+    net::message hello = net::make("hello");
+    hello.fields["proto"] = std::to_string(net::protocol_version);
+    hello.fields["name"] = opts.name;
+    ctx.conn.send_frame(net::encode(hello), opts.io_timeout_ms);
+    sweep_msg = ctx.recv("the sweep definition");
+  } catch (const net::peer_gone& e) {
+    ctx.log(std::string{e.what()} + " before the sweep arrived, exiting");
+    return {};
+  }
   if (sweep_msg.type == "shutdown") {
-    throw error("svc: coordinator refused the connection (" +
-                (sweep_msg.has("reason") ? sweep_msg.str("reason")
-                                         : "no reason") +
-                ")");
+    const std::string reason =
+        sweep_msg.has("reason") ? sweep_msg.str("reason") : "no reason";
+    if (reason == "complete") {
+      ctx.log("joined after the sweep completed, exiting");
+      return {};
+    }
+    throw error("svc: coordinator refused the connection (" + reason + ")");
   }
   require(sweep_msg.type == "sweep",
           "svc: worker expected the sweep definition, got '" +

@@ -48,9 +48,11 @@ struct worker_report {
 };
 
 /// Runs the worker loop until the coordinator sends `shutdown` (returns)
-/// or the connection dies / times out (throws bsched::error). `engine`
-/// supplies the policy registry — a worker fleet must register the same
-/// custom policies the sweep references.
+/// or the connection dies / times out (throws bsched::error); a late
+/// joiner, whose coordinator is gone or says `shutdown reason=complete`
+/// before the sweep, returns an all-zero report. `engine` supplies the
+/// policy registry — a worker fleet must register the same custom
+/// policies the sweep references.
 worker_report run_worker(const api::engine& engine,
                          const worker_options& opts);
 

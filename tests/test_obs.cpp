@@ -402,6 +402,60 @@ api::sweep fleet_grid(std::size_t replications) {
   return sw;
 }
 
+#ifdef BSCHED_OBS_ENABLED
+TEST(ObsEngine, JobSpansHangOffTheSweepAndBankBuildsCountCacheMisses) {
+  // One worker, two bank shapes over eight jobs: two cache misses, so
+  // two bank builds, and every engine.job span a direct child of the
+  // engine.run_sweep span.
+  api::sweep sw;
+  const load::test_load loads[] = {
+      load::test_load::cl_250, load::test_load::cl_500,
+      load::test_load::ils_250, load::test_load::ils_alt};
+  for (const std::size_t batteries : {2u, 3u}) {
+    for (const load::test_load load : loads) {
+      sw.cells.push_back(api::scenario{
+          .label = {},
+          .batteries = api::bank(batteries, kibam::battery_b1()),
+          .load = load,
+          .policy = "best_of_n",
+          .model = api::fidelity::discrete,
+          .steps = {},
+          .sim = {}});
+    }
+  }
+  const auto bank_builds = [] {
+    for (const auto& c : registry::global().scrape().counters) {
+      if (c.name == "engine.bank_builds_total") return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t builds_before = bank_builds();
+  tracer& t = tracer::global();
+  (void)t.drain();
+  t.enable(true);
+  const api::sweep_stats stats =
+      api::engine{}.run_sweep(sw, [](const api::sweep_result&) {}, 1);
+  t.enable(false);
+  const std::vector<span_record> spans = t.drain();
+
+  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_EQ(bank_builds() - builds_before, 2u);
+  std::uint64_t sweep_id = 0;
+  std::size_t jobs = 0;
+  for (const span_record& s : spans) {
+    if (s.name == "engine.run_sweep") sweep_id = s.id;
+  }
+  ASSERT_NE(sweep_id, 0u);
+  for (const span_record& s : spans) {
+    EXPECT_NE(s.name, "engine.batch");
+    if (s.name != "engine.job") continue;
+    ++jobs;
+    EXPECT_EQ(s.parent, sweep_id);
+  }
+  EXPECT_EQ(jobs, sw.cells.size());
+}
+#endif
+
 TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
   const api::sweep sw = fleet_grid(9);
   const std::size_t total = sw.cells.size() * sw.replications;

@@ -38,6 +38,7 @@
 #include "opt/search.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
+#include "sweep_fixture.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -56,11 +57,11 @@ constexpr std::size_t kLoadScale = 1;
 
 constexpr int kIoTimeoutMs = 20000 * kTimeScale;
 
-// --- StressSweep: run_sweep worker pool over batched SoA lanes ----------
+// --- StressSweep: run_sweep worker pool and its per-worker bank cache ----
 
-/// A grid whose discrete cells all share (batteries, steps, sim), so
-/// run_sweep batches them onto shared kibam::soa_bank lanes — the code
-/// path where threads step adjacent lanes of one state block. One cell
+/// A grid whose discrete cells all share (batteries, steps), so every
+/// worker of run_sweep serves them from one cached bank and one-lane
+/// kibam::soa_bank while the others pull the neighbouring jobs. One cell
 /// always fails, so the failure counter crosses the pool too.
 api::sweep soa_grid(std::size_t replications) {
   api::sweep sw;
@@ -98,7 +99,7 @@ TEST(StressSweep, OversubscribedPoolMatchesSingleThreadExactly) {
   const api::sweep_stats ref_stats = eng.run_sweep(sw, ref, 1);
 
   // Thread counts far above the core count force preemption inside the
-  // batch kernels and the ordered-flush mutex; the documented contract
+  // kernels and the ordered-flush mutex; the documented contract
   // is byte-identical aggregates for ANY thread count, so the comparison
   // is operator== on every summary field, not a tolerance.
   for (const std::size_t threads : {2u, 5u, 16u}) {
@@ -135,6 +136,21 @@ TEST(StressSweep, DeliveryStaysInGridOrderUnderOversubscription) {
 
   ASSERT_EQ(seen.size(), total);
   for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(seen[i], i);
+}
+
+TEST(StressSweep, OversubscribedBankCacheMatchesPerCellRuns) {
+  // The bank-cache grid (two bank shapes on two step grids, continuous
+  // cells, duplicates, an unbuildable bank) on a pool far wider than the
+  // core count: workers meet the bank shapes in interleaved order, build
+  // and reuse them concurrently, and every item must still equal
+  // engine::run of its scenario exactly.
+  const api::engine eng;
+  const api::sweep sw = api::testutil::bank_cache_grid(4 / kLoadScale);
+  const std::vector<api::run_result> want =
+      api::testutil::per_item_runs(eng, sw);
+  for (int round = 0; round < 2; ++round) {
+    api::testutil::expect_sweep_equals(eng, sw, want, 16);
+  }
 }
 
 // --- StressSearch: oversubscribed exact search over one shared memo -----

@@ -157,6 +157,10 @@ TEST(SvcService, ThreeWorkerFleetReproducesSingleProcess) {
 
   coordinator_options opts;
   opts.workers_expected = 3;
+  // Hold the leases until all three are in: a worker that connects only
+  // after the others drained the stream is a late joiner and is never
+  // counted in workers_seen.
+  opts.start_workers = 3;
   opts.chunk_items = 2;
   opts.deadline_s = 120;
   coordinator coord{sw, opts};
@@ -277,7 +281,7 @@ TEST(SvcService, StragglerSplitKeepsCoverageDisjoint) {
   // A grid heavy enough (five batteries, long episodes, lookahead
   // rollouts at every decision) that the lease runtime dwarfs any
   // scheduler hiccup between the coordinator granting it and its trim
-  // proposal landing — the batched kernels drain grid() faster than the
+  // proposal landing — the kernels drain grid() faster than the
   // handshake can complete.
   api::sweep sw;
   for (const char* load : {"random:count=2000,p=0.2,seed=1",
@@ -375,6 +379,66 @@ TEST(SvcService, DuplicateResultForSameLeaseEpochRejected) {
   const coordinator_counters& c = coord.counters();
   EXPECT_GE(c.results_rejected, 1u);
   EXPECT_EQ(c.expired, 0u);
+}
+
+TEST(SvcService, LateJoinerAfterCompletionExitsWithNoLeases) {
+  // run() has returned but the coordinator object is still alive: its
+  // listener closed when the merge completed, so a worker dialing now is
+  // refused at once and exits cleanly with nothing done, instead of
+  // waiting in an accept backlog nobody drains until its I/O timeout.
+  const api::sweep sw = grid(1);
+  coordinator_options opts;
+  opts.deadline_s = 120;
+  coordinator coord{sw, opts};
+  auto served = serve(coord);
+  const api::engine engine;
+  auto w = join_fleet(engine, coord.port(), "on-time");
+  (void)served.get();
+  EXPECT_EQ(w.get().items, sw.cells.size() * sw.replications);
+
+  worker_options late;
+  late.port = coord.port();
+  late.name = "late";
+  late.n_threads = 1;
+  late.io_timeout_ms = kIoTimeoutMs;
+  const auto started = std::chrono::steady_clock::now();
+  const worker_report report = run_worker(engine, late);
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::milliseconds(kIoTimeoutMs / 2));
+  EXPECT_EQ(report.leases, 0u);
+  EXPECT_EQ(report.items, 0u);
+  EXPECT_EQ(report.rejected, 0u);
+  EXPECT_EQ(coord.counters().workers_seen, 1u);
+}
+
+TEST(SvcService, HandshakeEndingInShutdownOrHangUpEndsOrRefusesTheWorker) {
+  // A scripted coordinator answers each hello with a shutdown, or hangs
+  // up (empty reason). Reason "complete" and a hang-up — the worker was
+  // queued as the sweep finished — are a clean zero-lease exit; any
+  // other reason is a refusal and throws.
+  for (const std::string reason : {"complete", "", "protocol-mismatch"}) {
+    net::listener lst{0};
+    const api::engine engine;
+    auto w = join_fleet(engine, lst.port(), "queued");
+    net::connection conn = lst.accept();
+    const auto hello = conn.recv_frame(kIoTimeoutMs);
+    ASSERT_TRUE(hello.has_value());
+    EXPECT_EQ(net::decode(*hello).type, "hello");
+    if (reason.empty()) {
+      conn.close();
+    } else {
+      net::message bye = net::make("shutdown");
+      bye.fields["reason"] = reason;
+      conn.send_frame(net::encode(bye), kIoTimeoutMs);
+    }
+    if (reason != "protocol-mismatch") {
+      const worker_report report = w.get();
+      EXPECT_EQ(report.leases, 0u);
+      EXPECT_EQ(report.items, 0u);
+    } else {
+      EXPECT_THROW((void)w.get(), error);
+    }
+  }
 }
 
 TEST(SvcNet, MessageRoundTripAndVersionGate) {

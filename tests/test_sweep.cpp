@@ -5,13 +5,19 @@
 // `ctest -R Sweep` (scripts/ci.sh).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <variant>
 
 #include "api/engine.hpp"
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
+#include "opt/policies.hpp"
+#include "sweep_fixture.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -310,6 +316,97 @@ TEST(SweepBatch, MatchesIndependentEngineRuns) {
   ASSERT_EQ(results.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(results[i], eng.run(batch[i])) << i;
+  }
+}
+
+TEST(SweepCache, PerWorkerBanksMatchPerCellRuns) {
+  // run_sweep reuses one bank per (batteries, steps) and worker across
+  // jobs; every item must still equal engine::run of its scenario field
+  // for field, whichever worker and cached bank served it.
+  const engine eng;
+  const sweep sw = testutil::bank_cache_grid(3);
+  const std::vector<run_result> want = testutil::per_item_runs(eng, sw);
+  // The grid reaches every path: three failing cells (continuous opt,
+  // an unbuildable bank and a replayed error), and the discrete cells
+  // on the coarse grid and with search stats all succeed.
+  std::size_t failed = 0;
+  for (const run_result& r : want) failed += r.ok() ? 0 : 1;
+  ASSERT_EQ(failed, 3 * sw.replications);
+  EXPECT_TRUE(want[4 * sw.replications].ok());
+  EXPECT_GT(want[8 * sw.replications].search.nodes, 0u);
+  EXPECT_GT(want[1 * sw.replications].search.rollouts, 0u);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    testutil::expect_sweep_equals(eng, sw, want, threads);
+  }
+}
+
+/// Two-party rendezvous for SweepScheduling: the first arrival waits for
+/// the second, and throws after `timeout` so a scheduler that never runs
+/// the two side by side fails the run instead of hanging the test.
+struct rendezvous {
+  std::mutex m;
+  std::condition_variable cv;
+  int arrived = 0;
+
+  void arrive(std::chrono::seconds timeout) {
+    std::unique_lock lock(m);
+    ++arrived;
+    cv.notify_all();
+    if (!cv.wait_for(lock, timeout, [this] { return arrived >= 2; })) {
+      throw error("rendezvous: the partner job never started");
+    }
+  }
+};
+
+/// best_of_n that binds only once its partner job is bound too.
+class waits_for_partner final : public sched::policy {
+ public:
+  explicit waits_for_partner(std::shared_ptr<rendezvous> meet)
+      : meet_(std::move(meet)) {}
+  void bind_model(const sched::model_info& /*model*/) override {
+    meet_->arrive(std::chrono::seconds(60));
+  }
+  std::size_t choose(const sched::decision_context& ctx) override {
+    return sched::greedy_choice(ctx.batteries).value();
+  }
+  std::string name() const override { return "waits_for_partner"; }
+
+ private:
+  std::shared_ptr<rendezvous> meet_;
+};
+
+TEST(SweepScheduling, AdjacentJobsRunSideBySide) {
+  // Cells 1 and 2 can only finish while both are running. A 2-thread
+  // pool that hands out jobs one at a time always has them in flight
+  // together; a plan that assigns runs of adjacent jobs to one thread
+  // up front (ceil(8 / 2) = 4 jobs per thread) runs them one after the
+  // other, and the first times out.
+  const auto meet = std::make_shared<rendezvous>();
+  engine_options opts;
+  opts.policies = opt::model_registry();
+  opts.policies.add("waits_for_partner", [meet](const spec& s) {
+    s.require_only({});
+    return std::make_unique<waits_for_partner>(meet);
+  });
+  const engine eng{opts};
+
+  sweep sw;
+  const load::test_load loads[] = {
+      load::test_load::cl_250,  load::test_load::cl_500,
+      load::test_load::cl_alt,  load::test_load::ils_250,
+      load::test_load::ils_500, load::test_load::ils_alt,
+      load::test_load::ils_r1,  load::test_load::ils_r2};
+  for (std::size_t c = 0; c < 8; ++c) {
+    sw.cells.push_back(base_cell(
+        loads[c], c == 1 || c == 2 ? "waits_for_partner" : "best_of_n"));
+  }
+  sw.replications = 1;
+  std::vector<run_result> got(sw.cells.size());
+  const sweep_stats stats = eng.run_sweep(
+      sw, [&](const sweep_result& r) { got[r.cell] = r.result; }, 2);
+  EXPECT_EQ(stats.failures, 0u);
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    EXPECT_TRUE(got[c].ok()) << "cell " << c << ": " << got[c].error;
   }
 }
 
