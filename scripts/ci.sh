@@ -234,6 +234,10 @@ run_release() {
     | grep -q "engine.run_sweep"
   "$dir/bench_table3" > /dev/null
   "$dir/bench_lookahead" > /dev/null
+  # The repository benchmark (perfbench/, declared by BENCHMARK.json) must
+  # still build from this checkout, print exactly the declared metrics
+  # and catch a corrupted reference on every workload.
+  python3 perfbench/run.py --self-test
   # Perf gate: the microbenchmarks run in JSON mode and are judged
   # against the committed baseline (BENCH_micro.json). The tolerance is
   # loose — it exists to catch step-function regressions (an event

@@ -31,63 +31,14 @@ std::vector<shard> plan_shards(const api::sweep& sw, std::size_t n) {
   return out;
 }
 
-shard_aggregate run_shard(const api::engine& engine, const shard& sh,
-                          std::size_t n_threads) {
-  const api::sweep& sw = sh.sweep;
-  const std::size_t total = sw.cells.size() * sw.replications;
-  require(sh.first <= sh.last && sh.last <= total,
-          "run_shard: shard range exceeds the sweep's item stream");
-
-  shard_aggregate out;
-  out.shard_index = sh.index;
-  out.shard_count = sh.count;
-  out.first_item = sh.first;
-  out.last_item = sh.last;
-  out.grid_cells = sw.cells.size();
-  out.replications = sw.replications;
-  out.seed = sw.seed;
-  out.reseed = sw.reseed;
-  out.pair_by_load = sw.pair_by_load;
-  out.cells.resize(sw.cells.size());
-  for (std::size_t i = 0; i < sw.cells.size(); ++i) {
-    out.cells[i].cell = i;
-    out.cells[i].label = sw.cells[i].describe();
-    out.cells[i].load = sw.cells[i].load.describe();
-    out.cells[i].policy = sw.cells[i].policy;
-    out.cells[i].fidelity = api::name(sw.cells[i].model);
-  }
-  if (sh.first == sh.last) return out;
-
-  // Expand the slice into the exact effective scenarios the full sweep
-  // would evaluate: api::replicate with *global* (cell, replication)
-  // indices, then run verbatim (reseed off, one replication per item).
-  // Duplicate items within the slice still collapse into the cell cache.
-  const std::vector<std::size_t> groups =
-      sw.reseed && sw.pair_by_load ? api::load_groups(sw)
-                                   : std::vector<std::size_t>{};
-  api::sweep slice;
-  slice.replications = 1;
-  slice.reseed = false;
-  slice.seed = sw.seed;
-  slice.cells.reserve(sh.last - sh.first);
-  for (std::size_t item = sh.first; item < sh.last; ++item) {
-    const std::size_t cell = item / sw.replications;
-    const std::size_t rep = item % sw.replications;
-    slice.cells.push_back(groups.empty()
-                              ? api::replicate(sw, cell, rep)
-                              : api::replicate(sw, cell, rep, groups));
-  }
-
-  api::callback_sink sink{[&](const api::sweep_result& r) {
-    // Slice grid index -> global item -> original cell.
-    const std::size_t item = sh.first + r.cell;
-    out.cells[item / sw.replications].agg.add(r.result, r.cache_hit);
-  }};
-  out.stats = engine.run_sweep(slice, sink, n_threads);
-  return out;
-}
-
 namespace {
+
+void add_stats(api::sweep_stats& into, const api::sweep_stats& s) {
+  into.runs += s.runs;
+  into.evaluated += s.evaluated;
+  into.cache_hits += s.cache_hits;
+  into.failures += s.failures;
+}
 
 /// Shape/descriptor agreement between parts of one sweep — the merge
 /// precondition shared by every fold path.
@@ -114,6 +65,75 @@ void check_same_shape(const shard_aggregate& ref, const shard_aggregate& p) {
 }
 
 }  // namespace
+
+shard_runner::shard_runner(const api::sweep& sw) : sw_(sw) {
+  if (sw.reseed && sw.pair_by_load) groups_ = api::load_groups(sw);
+  blank_.grid_cells = sw.cells.size();
+  blank_.replications = sw.replications;
+  blank_.seed = sw.seed;
+  blank_.reseed = sw.reseed;
+  blank_.pair_by_load = sw.pair_by_load;
+  blank_.cells.resize(sw.cells.size());
+  for (std::size_t i = 0; i < sw.cells.size(); ++i) {
+    blank_.cells[i].cell = i;
+    blank_.cells[i].label = sw.cells[i].describe();
+    blank_.cells[i].load = sw.cells[i].load.describe();
+    blank_.cells[i].policy = sw.cells[i].policy;
+    blank_.cells[i].fidelity = api::name(sw.cells[i].model);
+  }
+}
+
+shard_aggregate shard_runner::start(std::size_t first) const {
+  require(first <= sw_.cells.size() * sw_.replications,
+          "run_shard: shard range exceeds the sweep's item stream");
+  shard_aggregate out = blank_;
+  out.first_item = first;
+  out.last_item = first;
+  return out;
+}
+
+void shard_runner::run(const api::engine& engine, std::size_t last,
+                       shard_aggregate& agg, std::size_t n_threads) const {
+  const std::size_t first = agg.last_item;
+  require(agg.cells.size() == sw_.cells.size() && first <= last &&
+              last <= sw_.cells.size() * sw_.replications,
+          "run_shard: shard range exceeds the sweep's item stream");
+
+  // Expand the slice into the exact effective scenarios the full sweep
+  // would evaluate: api::replicate with *global* (cell, replication)
+  // indices, then run verbatim (reseed off, one replication per item).
+  // Duplicate items within the slice still collapse into the cell cache.
+  api::sweep slice;
+  slice.replications = 1;
+  slice.reseed = false;
+  slice.seed = sw_.seed;
+  slice.cells.reserve(last - first);
+  for (std::size_t item = first; item < last; ++item) {
+    const std::size_t cell = item / sw_.replications;
+    const std::size_t rep = item % sw_.replications;
+    slice.cells.push_back(groups_.empty()
+                              ? api::replicate(sw_, cell, rep)
+                              : api::replicate(sw_, cell, rep, groups_));
+  }
+
+  api::callback_sink sink{[&](const api::sweep_result& r) {
+    // Slice grid index -> global item -> original cell.
+    const std::size_t item = first + r.cell;
+    agg.cells[item / sw_.replications].agg.add(r.result, r.cache_hit);
+  }};
+  add_stats(agg.stats, engine.run_sweep(slice, sink, n_threads));
+  agg.last_item = last;
+}
+
+shard_aggregate run_shard(const api::engine& engine, const shard& sh,
+                          std::size_t n_threads) {
+  const shard_runner runner{sh.sweep};
+  shard_aggregate out = runner.start(sh.first);
+  out.shard_index = sh.index;
+  out.shard_count = sh.count;
+  runner.run(engine, sh.last, out, n_threads);
+  return out;
+}
 
 void stream_merger::add(shard_aggregate part) {
   require(part.first_item <= part.last_item,
@@ -153,10 +173,7 @@ void stream_merger::fold_ready() {
         merged_.cells[i].agg.merge(head.cells[i].agg);
       }
       merged_.last_item = head.last_item;
-      merged_.stats.runs += head.stats.runs;
-      merged_.stats.evaluated += head.stats.evaluated;
-      merged_.stats.cache_hits += head.stats.cache_hits;
-      merged_.stats.failures += head.stats.failures;
+      add_stats(merged_.stats, head.stats);
     }
     next_ = merged_.last_item;
     pending_.erase(pending_.begin());

@@ -9,15 +9,17 @@
 // (cells outer, replication ranges inner); `run_shard` expands its range
 // into the exact effective scenarios the full sweep would have run
 // (verbatim, reseed off) and folds the results into one mergeable
-// api::cell_accumulator per *original* grid cell; `merge_shards` checks
-// that a set of shard aggregates tiles the stream exactly once and folds
-// them in stream order. The merged result reproduces a single-process
-// engine::run_sweep + api::summarize exactly for n/failures/min/max (and
-// for quantiles up to the digest budget), and to ulp-scale rounding for
-// mean/stddev/CI — the Chan/Welford combine is associative only up to
-// floating-point rounding. Cache accounting (evaluated/cache_hits) is
-// per-process: a duplicate item pair split across two shards is evaluated
-// twice, so those counters are reported but not part of the equivalence
+// api::cell_accumulator per *original* grid cell (a `shard_runner` does
+// it slice by slice, which is how the sweep service's workers run lease
+// chunks). `merge_shards` checks that a set of shard aggregates
+// tiles the stream exactly once and folds them in stream order. The
+// merged result reproduces a single-process engine::run_sweep +
+// api::summarize exactly for n/failures/min/max (and for quantiles up to
+// the digest budget), and to ulp-scale rounding for mean/stddev/CI — the
+// Chan/Welford combine is associative only up to floating-point rounding.
+// Cache accounting (evaluated/cache_hits) is per run: a duplicate item
+// pair split across two shards (or two runner calls) is evaluated twice,
+// so those counters are reported but not part of the equivalence
 // contract.
 //
 // Serialization of shard aggregates lives in dist/codec.hpp; the CLI
@@ -95,11 +97,43 @@ struct shard_aggregate {
                          const shard_aggregate&) = default;
 };
 
-/// Runs a shard's slice on `n_threads` workers and aggregates it: the
-/// shard's items are expanded through api::replicate with their global
-/// indices (so the slice reproduces exactly what the full sweep would
-/// run), evaluated as a verbatim sub-sweep — duplicate items within the
-/// shard still dedupe — and folded per original grid cell. Aggregates
+/// Runs slices of one sweep straight into aggregates the caller holds;
+/// the cell descriptors and pair_by_load load groups are computed once,
+/// at construction. A slice's items are expanded through api::replicate
+/// with their global indices (so it reproduces exactly what the full
+/// sweep would run), evaluated as a verbatim sub-sweep — duplicate items
+/// within the slice still dedupe — and each result is added to its
+/// original grid cell in stream order. Nothing is merged, so running
+/// [a, c) as [a, b) then [b, c) leaves the same accumulators as one
+/// [a, c) run; only cache accounting (evaluated/cache_hits) is per call.
+/// Holds `sw` by reference: the sweep must outlive the runner.
+class shard_runner {
+ public:
+  explicit shard_runner(const api::sweep& sw);
+
+  /// An aggregate of the sweep covering no items yet: shape and cell
+  /// descriptors filled, empty accumulators, first_item = last_item =
+  /// `first`, shard 0 of 1. Throws bsched::error when `first` lies past
+  /// the item stream.
+  [[nodiscard]] shard_aggregate start(std::size_t first) const;
+
+  /// Runs items [agg.last_item, last) on `n_threads` workers, folds each
+  /// result into `agg` and sets agg.last_item = last. `agg` must come
+  /// from this runner's start(). Results are identical for any
+  /// worker-thread count. Throws bsched::error when `last` is before
+  /// agg.last_item or past the item stream.
+  void run(const api::engine& engine, std::size_t last, shard_aggregate& agg,
+           std::size_t n_threads = 0) const;
+
+ private:
+  const api::sweep& sw_;
+  /// api::load_groups(sw_) for a re-seeded pair_by_load sweep, else empty.
+  std::vector<std::size_t> groups_;
+  shard_aggregate blank_;  ///< start()'s result, positioned at item 0.
+};
+
+/// Runs a shard's slice on `n_threads` workers and aggregates it:
+/// shard_runner::start at sh.first, then one run to sh.last. Aggregates
 /// are identical for any worker-thread count.
 [[nodiscard]] shard_aggregate run_shard(const api::engine& engine,
                                         const shard& sh,
@@ -117,7 +151,7 @@ struct shard_aggregate {
 class stream_merger {
  public:
   /// `first` is the first item of the range being assembled (0 for a
-  /// whole sweep; a lease's first item when a worker folds its chunks).
+  /// whole sweep).
   explicit stream_merger(std::size_t first = 0) : next_(first) {}
 
   /// Buffers or folds one part. Throws bsched::error on shape/descriptor

@@ -47,12 +47,13 @@ struct session_ctx {
   }
 };
 
-/// One lease's execution: chunked run_shard calls folded in stream
-/// order, heartbeats and trim handling between chunks. Returns false
+/// One lease's execution: chunks run straight into the lease's
+/// aggregate, heartbeats and trim handling between chunks. Returns false
 /// when a mid-lease `shutdown` aborted the lease (nothing was sent).
-bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
-               const net::message& lease, std::size_t n_threads,
-               worker_report& report) {
+bool run_lease(const api::engine& engine, session_ctx& ctx,
+               const dist::shard_runner& runner, const net::message& lease,
+               std::size_t n_threads, worker_report& report) {
+  BSCHED_TRACE_SPAN(lease_span, "svc.worker.lease");
   const std::uint64_t id = lease.u64("lease");
   const std::uint64_t epoch = lease.u64("epoch");
   const std::size_t first = static_cast<std::size_t>(lease.u64("first"));
@@ -63,20 +64,18 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
   ctx.log("lease " + std::to_string(id) + " [" + std::to_string(first) +
           ", " + std::to_string(last) + ")");
 
-  dist::stream_merger merger(first);
+  dist::shard_aggregate agg = runner.start(first);
   std::size_t done = first;
   while (done < last) {
-    sh.first = done;
-    sh.last = std::min(done + ctx.chunk, last);
     [[maybe_unused]] const auto chunk_start = ctx.clk->now();
-    merger.add(dist::run_shard(engine, sh, n_threads));
+    runner.run(engine, std::min(done + ctx.chunk, last), agg, n_threads);
     BSCHED_HISTOGRAM_OBSERVE(
         "svc.worker.chunk_seconds",
         std::chrono::duration<double>(ctx.clk->now() - chunk_start).count(),
         0.001, 0.01, 0.1, 1.0, 10.0, 60.0);
-    BSCHED_COUNTER_ADD("svc.worker.items_total", sh.last - done);
-    report.items += sh.last - done;
-    done = sh.last;
+    BSCHED_COUNTER_ADD("svc.worker.items_total", agg.last_item - done);
+    report.items += agg.last_item - done;
+    done = agg.last_item;
 
     // Heartbeats carry the worker's own metrics snapshot so the
     // coordinator can fold a fleet-wide telemetry view; the body is
@@ -123,7 +122,7 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
   net::message result = net::make("result");
   result.fields["lease"] = std::to_string(id);
   result.fields["epoch"] = std::to_string(epoch);
-  result.body = dist::encode_str(merger.take(last));
+  result.body = dist::encode_str(agg);
   ctx.send(std::move(result));
 
   // The ack may be preceded by a trim that raced with the result; a
@@ -154,6 +153,19 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
     throw error("svc: worker expected ack for lease " + std::to_string(id) +
                 ", got '" + m.type + "'");
   }
+}
+
+/// True when a `shutdown` is among the frames `conn` still holds or can
+/// read (sent before the peer went away).
+bool shutdown_buffered(net::connection& conn) {
+  try {
+    while (auto frame = conn.recv_frame(0)) {
+      if (net::decode(*frame).type == "shutdown") return true;
+    }
+  } catch (const error&) {
+    // Nothing more to read.
+  }
+  return false;
 }
 
 }  // namespace
@@ -199,26 +211,37 @@ worker_report run_worker(const api::engine& engine,
   ctx.chunk = std::max<std::size_t>(
       1, static_cast<std::size_t>(sweep_msg.u64("chunk")));
 
-  // The whole grid arrives over the wire; nothing is compiled in.
-  dist::shard sh;
-  sh.sweep = dist::decode_sweep_str(sweep_msg.body);
+  // The whole grid arrives over the wire; nothing is compiled in. Its
+  // cell descriptors and load groups are built once for the session.
+  const api::sweep sw = dist::decode_sweep_str(sweep_msg.body);
+  const dist::shard_runner runner{sw};
   ctx.log("joined session " + std::to_string(ctx.session) + ": " +
-          std::to_string(sh.sweep.cells.size()) + " cell(s) x " +
-          std::to_string(sh.sweep.replications) + " replication(s)");
+          std::to_string(sw.cells.size()) + " cell(s) x " +
+          std::to_string(sw.replications) + " replication(s)");
 
   worker_report report;
-  while (true) {
-    ctx.send(net::make("ready"));
-    net::message m = ctx.recv("a lease");
-    if (m.type == "shutdown") {
-      ctx.log("shutdown (" +
-              (m.has("reason") ? m.str("reason") : "no reason") + ")");
-      break;
+  try {
+    while (true) {
+      ctx.send(net::make("ready"));
+      net::message m = ctx.recv("a lease");
+      if (m.type == "shutdown") {
+        ctx.log("shutdown (" +
+                (m.has("reason") ? m.str("reason") : "no reason") + ")");
+        break;
+      }
+      if (m.type == "trim" || m.type == "ack") continue;  // stale traffic
+      require(m.type == "lease", "svc: worker expected a lease, got '" +
+                                     m.type + "'");
+      if (!run_lease(engine, ctx, runner, m, opts.n_threads, report)) break;
     }
-    if (m.type == "trim" || m.type == "ack") continue;  // stale traffic
-    require(m.type == "lease", "svc: worker expected a lease, got '" +
-                                   m.type + "'");
-    if (!run_lease(engine, ctx, sh, m, opts.n_threads, report)) break;
+  } catch (const net::peer_gone&) {
+    // The coordinator hangs up right after its final `shutdown`. A frame
+    // this worker sent meanwhile (the `trimmed` answer to a trim that
+    // raced with the last result) makes it reset the connection, so the
+    // next send fails before that shutdown is read. Already sent, the
+    // shutdown still ends the session normally.
+    if (!shutdown_buffered(ctx.conn)) throw;
+    ctx.log("shutdown (read after the coordinator hung up)");
   }
   return report;
 }

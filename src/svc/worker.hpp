@@ -3,11 +3,13 @@
 // and runs leases until told to shut down.
 //
 // A lease's item range is executed in chunks of the coordinator-announced
-// size through dist::run_shard; chunk aggregates fold locally in stream
-// order (dist::stream_merger), so the lease result has exactly the
-// rounding a single contiguous run would. Between chunks the worker
-// heartbeats its global item frontier and answers work-steal `trim`
-// proposals with the actual cut — never below what it has already
+// size by one dist::shard_runner per session, which builds the grid's
+// cell descriptors and load groups once. Each chunk folds its results
+// straight into the lease's aggregate in stream order, so the lease
+// result equals dist::run_shard over the lease range whatever the chunk
+// size (cache accounting aside, which is per chunk). Between chunks the
+// worker heartbeats its global item frontier and answers work-steal
+// `trim` proposals with the actual cut — never below what it has already
 // computed — then ships the finished lease as one `result` frame and
 // waits for the ack. A rejected ack (stale epoch after an expiry) just
 // discards the work and asks for the next lease.
@@ -27,7 +29,7 @@ struct worker_options {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string name = "worker";  ///< Reported in the hello (logs only).
-  std::size_t n_threads = 0;    ///< dist::run_shard pool; 0 = hardware.
+  std::size_t n_threads = 0;    ///< Per-chunk sweep pool; 0 = hardware.
   int dial_timeout_ms = 5000;
   /// Max quiet period on the control socket (waiting for a lease, the
   /// sweep, or an ack) before the worker gives up on the coordinator.

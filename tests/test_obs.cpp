@@ -563,5 +563,44 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
 #endif
 }
 
+#ifdef BSCHED_OBS_ENABLED
+TEST(ObsFleet, WorkerRecordsOneSpanPerLease) {
+  // Lease spans wrap a whole lease, never a chunk or an item: a lone
+  // worker whose leases never expire records exactly one per grant.
+  const api::sweep sw = fleet_grid(6);
+  svc::coordinator_options opts;
+  opts.lease_items = 4;
+  opts.chunk_items = 1;
+  opts.deadline_s = 120;
+  svc::coordinator coord{sw, opts};
+  tracer& t = tracer::global();
+  (void)t.drain();
+  t.enable(true);
+  auto served = std::async(std::launch::async, [&coord] {
+    return coord.run();
+  });
+  svc::worker_options wopts;
+  wopts.port = coord.port();
+  wopts.name = "solo";
+  wopts.n_threads = 1;
+  const svc::worker_report report = svc::run_worker(api::engine{}, wopts);
+  const dist::shard_aggregate merged = served.get();
+  t.enable(false);
+  const std::vector<span_record> spans = t.drain();
+
+  EXPECT_EQ(merged.last_item, sw.cells.size() * sw.replications);
+  EXPECT_EQ(report.items, sw.cells.size() * sw.replications);
+  const svc::coordinator_counters& c = coord.counters();
+  ASSERT_EQ(c.expired, 0u);
+  EXPECT_GE(c.leases_granted, 3u);
+  std::size_t lease_spans = 0;
+  for (const span_record& s : spans) {
+    if (s.name == "svc.worker.lease") ++lease_spans;
+  }
+  EXPECT_EQ(lease_spans, c.leases_granted);
+  EXPECT_EQ(t.dropped(), 0u);
+}
+#endif
+
 }  // namespace
 }  // namespace bsched::obs

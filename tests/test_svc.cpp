@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <map>
+#include <poll.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,6 +194,34 @@ TEST(SvcService, ThreeWorkerFleetReproducesSingleProcess) {
   // tail is re-granted as its own lease, a trimmed lease still reports
   // its shortened range.
   EXPECT_EQ(c.results_accepted, c.leases_granted);
+}
+
+TEST(SvcService, PairByLoadFleetReproducesSingleProcess) {
+  // pair_by_load replicates through load groups, which each worker builds
+  // once per session; one-item chunks make every item its own slice run.
+  api::sweep sw = grid(6);
+  sw.pair_by_load = true;
+  const std::vector<api::cell_summary> ref = reference(sw);
+
+  coordinator_options opts;
+  opts.workers_expected = 2;
+  opts.chunk_items = 1;
+  opts.deadline_s = 120;
+  coordinator coord{sw, opts};
+  auto served = serve(coord);
+
+  const api::engine engine;
+  auto w0 = join_fleet(engine, coord.port(), "w0");
+  auto w1 = join_fleet(engine, coord.port(), "w1");
+
+  const dist::shard_aggregate merged = served.get();
+  const worker_report r0 = w0.get();
+  const worker_report r1 = w1.get();
+
+  EXPECT_TRUE(merged.pair_by_load);
+  expect_equivalent(dist::summaries(merged), ref);
+  EXPECT_EQ(r0.items + r1.items, sw.cells.size() * sw.replications);
+  EXPECT_EQ(coord.counters().results_rejected, 0u);
 }
 
 TEST(SvcService, ExpiredLeaseIsReassignedAndStaleResultRejected) {
@@ -439,6 +469,51 @@ TEST(SvcService, HandshakeEndingInShutdownOrHangUpEndsOrRefusesTheWorker) {
       EXPECT_THROW((void)w.get(), error);
     }
   }
+}
+
+TEST(SvcService, ShutdownReadAfterTheCoordinatorHungUpEndsTheWorker) {
+  // The end of a campaign as its last worker can see it: a trim races
+  // with the final result, and the coordinator acks, says shutdown and
+  // hangs up with the worker's `trimmed` answer still unread, which
+  // resets the connection. The worker's next `ready` then fails to send,
+  // yet the shutdown it was already sent ends the session normally.
+  const api::sweep sw = grid(1);
+  net::listener lst{0};
+  const api::engine engine;
+  auto w = join_fleet(engine, lst.port(), "last");
+  net::connection conn = lst.accept();
+  const auto recv = [&conn] {
+    const auto frame = conn.recv_frame(kIoTimeoutMs);
+    if (!frame.has_value()) throw error("test: coordinator recv timed out");
+    return net::decode(*frame);
+  };
+  const auto send = [&conn](const char* type,
+                            const std::map<std::string, std::string>& fields,
+                            std::string body = {}) {
+    net::message m = net::make(type);
+    for (const auto& [k, v] : fields) m.fields[k] = v;
+    m.body = std::move(body);
+    conn.send_frame(net::encode(m), kIoTimeoutMs);
+  };
+  EXPECT_EQ(recv().type, "hello");
+  send("sweep", {{"session", "7"}, {"chunk", "1"}},
+       dist::encode_sweep_str(sw));
+  EXPECT_EQ(recv().type, "ready");
+  send("lease", {{"lease", "1"}, {"epoch", "1"}, {"first", "0"},
+                 {"last", "1"}});
+  net::message m = recv();
+  while (m.type == "heartbeat") m = recv();
+  ASSERT_EQ(m.type, "result");
+  send("trim", {{"lease", "1"}, {"epoch", "1"}, {"last", "1"}});
+  pollfd answer{conn.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&answer, 1, kIoTimeoutMs), 1);  // `trimmed`, left unread
+  send("ack", {{"lease", "1"}, {"epoch", "1"}, {"ok", "1"}});
+  send("shutdown", {{"reason", "complete"}});
+  conn.close();
+
+  const worker_report report = w.get();
+  EXPECT_EQ(report.leases, 1u);
+  EXPECT_EQ(report.items, 1u);
 }
 
 TEST(SvcNet, MessageRoundTripAndVersionGate) {
