@@ -15,8 +15,9 @@ Rules (see README "Correctness tooling"):
                     Allowlisted: src/util/error.cpp (the BSCHED_ASSERT
                     abort path must print before dying).
 
-  require-prefix    require() messages that start with a string literal
-                    must be prefixed "<origin>: " where <origin> names
+  require-prefix    require() and `throw error(...)` messages that start
+                    with a string literal must be prefixed "<origin>: "
+                    where <origin> names
                     the throwing module — the file's directory ("net:"),
                     its stem ("spec:"), or a function/class defined in
                     the file ("plan_shards:", "csv_writer:", "round
@@ -229,11 +230,16 @@ def check_require_prefix(rel, code):
     module = parts[1] if len(parts) > 2 else stem
     identifiers = strip_strings(code)
     findings = []
-    for m in re.finditer(r"(?<![\w:.])require\s*\(", code):
+    # require(cond, msg) carries the message second; a check moved to
+    # `if (!cond) throw error(msg)` (build the message only on failure)
+    # carries it first.
+    for m in re.finditer(r"(?<![\w:.])(require|throw\s+(?:bsched::)?error)"
+                         r"\s*\(", code):
+        at = 1 if m.group(1) == "require" else 0
         args = split_require_args(code, m.end())
-        if args is None or len(args) < 2:
+        if args is None or len(args) <= at:
             continue
-        msg = args[1].strip()
+        msg = args[at].strip()
         lit = re.match(r'"((?:[^"\\]|\\.)*)"', msg)
         if lit is None:
             continue  # message built from a variable; out of scope
@@ -251,7 +257,7 @@ def check_require_prefix(rel, code):
         if not ok:
             findings.append(
                 (line_of(code, m.start()), "require-prefix",
-                 f"require() message '{text[:40]}' must start with "
+                 f"error message '{text[:40]}' must start with "
                  f"\"<origin>: \" naming this module ('{module}', "
                  f"'{stem}', or a function/class defined here)"))
     return findings
@@ -404,6 +410,14 @@ def self_test():
          ["require-prefix"]),
         ("require with a foreign prefix",
          "src/net/message.cpp", 'void f() { require(ok, "svc: bad"); }',
+         ["require-prefix"]),
+        ("throw error with a module prefix",
+         "src/util/spec.cpp",
+         'void f() { if (!ok) throw error("spec \'" + name + "\': bad"); }',
+         []),
+        ("throw error without prefix",
+         "src/net/message.cpp",
+         'void f() { if (!ok) throw error("bad frame " + clip(h)); }',
          ["require-prefix"]),
         ("require message from variable is out of scope",
          "src/net/message.cpp", "void f() { require(ok, msg); }", []),

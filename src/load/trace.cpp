@@ -11,10 +11,12 @@ namespace {
 
 void validate(const std::vector<epoch>& epochs, const char* what) {
   for (const epoch& e : epochs) {
-    require(e.duration_min > 0,
-            std::string(what) + ": epoch durations must be positive");
-    require(e.current_a >= 0,
-            std::string(what) + ": currents must be non-negative");
+    if (!(e.duration_min > 0)) {
+      throw error(std::string(what) + ": epoch durations must be positive");
+    }
+    if (!(e.current_a >= 0)) {
+      throw error(std::string(what) + ": currents must be non-negative");
+    }
   }
 }
 

@@ -14,8 +14,10 @@ std::uint64_t message::u64(const std::string& key) const {
 
 const std::string& message::str(const std::string& key) const {
   const auto it = fields.find(key);
-  require(it != fields.end(),
-          "net: message '" + type + "' is missing field '" + key + "'");
+  if (it == fields.end()) {
+    throw error("net: message '" + type + "' is missing field '" + key +
+                "'");
+  }
   return it->second;
 }
 
@@ -57,16 +59,17 @@ std::string encode(const message& m) {
   std::string out = "bsched-msg v" + std::to_string(protocol_version) + " ";
   out += m.type;
   for (const auto& [key, value] : m.fields) {
-    require(is_token(key),
-            "net: field name '" + key + "' is not a header token");
-    require(std::all_of(value.begin(), value.end(),
-                        [](char c) {
-                          return is_header_byte(
-                                     static_cast<unsigned char>(c)) &&
-                                 c != ' ';
-                        }),
-            "net: field '" + key + "' value contains whitespace or "
-            "control bytes — bulky payloads belong in the body");
+    if (!is_token(key)) {
+      throw error("net: field name '" + key + "' is not a header token");
+    }
+    const bool clean = std::all_of(value.begin(), value.end(), [](char c) {
+      return is_header_byte(static_cast<unsigned char>(c)) && c != ' ';
+    });
+    if (!clean) {
+      throw error("net: field '" + key +
+                  "' value contains whitespace or control bytes — bulky "
+                  "payloads belong in the body");
+    }
     out += ' ';
     out += key;
     out += '=';
@@ -81,22 +84,26 @@ message decode(std::string_view frame) {
   const std::size_t eol = frame.find('\n');
   require(eol != std::string_view::npos,
           "net: frame has no header line terminator");
-  require(eol <= max_header_bytes,
-          "net: header line of " + std::to_string(eol) +
-              " bytes exceeds the " + std::to_string(max_header_bytes) +
-              "-byte limit");
+  if (eol > max_header_bytes) {
+    throw error("net: header line of " + std::to_string(eol) +
+                " bytes exceeds the " + std::to_string(max_header_bytes) +
+                "-byte limit");
+  }
   std::string_view header = frame.substr(0, eol);
   for (const char c : header) {
-    require(is_header_byte(static_cast<unsigned char>(c)),
-            "net: header contains control bytes: '" + clip(header) + "'");
+    if (!is_header_byte(static_cast<unsigned char>(c))) {
+      throw error("net: header contains control bytes: '" + clip(header) +
+                  "'");
+    }
   }
 
   const std::string magic =
       "bsched-msg v" + std::to_string(protocol_version);
-  require(header.substr(0, magic.size()) == magic &&
-              header.size() > magic.size() && header[magic.size()] == ' ',
-          "net: bad message magic '" + clip(header) +
-              "' (this peer speaks '" + magic + "')");
+  if (header.substr(0, magic.size()) != magic ||
+      header.size() <= magic.size() || header[magic.size()] != ' ') {
+    throw error("net: bad message magic '" + clip(header) +
+                "' (this peer speaks '" + magic + "')");
+  }
   header.remove_prefix(magic.size() + 1);
 
   message m;
@@ -109,9 +116,10 @@ message decode(std::string_view frame) {
     const std::string_view field = header.substr(0, end);
     if (field.empty()) continue;
     const std::size_t eq = field.find('=');
-    require(eq != std::string_view::npos && eq > 0,
-            "net: malformed header field '" + clip(field) +
-                "' in message '" + clip(m.type) + "'");
+    if (eq == std::string_view::npos || eq == 0) {
+      throw error("net: malformed header field '" + clip(field) +
+                  "' in message '" + clip(m.type) + "'");
+    }
     m.fields.emplace(std::string{field.substr(0, eq)},
                      std::string{field.substr(eq + 1)});
   }

@@ -285,8 +285,9 @@ struct registry::state {
     require(metric < meta_count.load(std::memory_order_acquire),
             "obs: metric id out of range");
     const metric_meta& meta = metas.at(metric);
-    require(meta.kind == kind,
-            "obs: metric '" + meta.name + "' used as the wrong kind");
+    if (meta.kind != kind) {
+      throw error("obs: metric '" + meta.name + "' used as the wrong kind");
+    }
     return meta;
   }
 

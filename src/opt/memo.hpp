@@ -9,13 +9,22 @@
 // same key under different floors can share one table safely: exact
 // entries win over bounds, and a tighter bound may replace a looser one.
 //
-// Keys hash-partition into shards, each an independently locked map with
-// its own FIFO eviction queue; `max_entries` splits evenly across shards,
-// preserving the search_options::max_memo_entries cap semantics (total
-// entries never exceed the cap, eviction stays deterministic FIFO within
-// a shard). One shard degenerates to the historic single-map behaviour —
-// the single-threaded search uses exactly that, so its effort counters
-// stay bit-identical run to run.
+// Keys hash-partition into shards, each an independently locked flat
+// table; `max_entries` splits evenly across shards, preserving the
+// search_options::max_memo_entries cap semantics (total entries never
+// exceed the cap, eviction is deterministic FIFO within a shard). The
+// single-threaded search uses one shard, so its effort counters stay
+// bit-identical run to run.
+//
+// A shard stores its entries in insertion order in an arena (key words,
+// hash, entry) indexed by an open-addressing hash table with linear
+// probing. Keys have one fixed width per table — attach() fingerprints
+// the bank, so every key holds the same number of battery words — and
+// the arena needs no per-key allocation. Under a cap the arena is a ring:
+// the next insertion overwrites the oldest entry (the FIFO victim), whose
+// index slot is removed by backward-shift deletion, so no tombstones
+// accumulate. Storing and looking up allocate nothing once the arena and
+// index have grown to the table's working size.
 //
 // A memo_table outlives any one search: `optimal_schedule` calls with the
 // same bank, load and direction may share one (search_options::
@@ -25,11 +34,13 @@
 // reuse, since keys do not encode the model.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "util/error.hpp"
@@ -42,6 +53,8 @@ class memo_table {
     std::int64_t value = 0;
     bool exact = false;
   };
+
+  using key_view = std::span<const std::uint64_t>;
 
   /// `max_entries` caps the total entry count (0 = unbounded), split
   /// evenly across `shards` FIFO queues. Shard counts are rounded up to
@@ -76,39 +89,49 @@ class memo_table {
   /// Looks `key` up. Returns true and fills `out` when a usable entry
   /// exists: any exact entry, or an inexact upper bound not above `floor`
   /// (values the caller will discard against its incumbent anyway).
-  bool lookup(const std::vector<std::uint64_t>& key, std::uint64_t hash,
-              std::int64_t floor, entry& out) {
+  bool lookup(key_view key, std::uint64_t hash, std::int64_t floor,
+              entry& out) {
     shard& s = shard_of(hash);
     const std::scoped_lock lock(s.mutex);
-    const auto it = s.map.find(key);
-    if (it == s.map.end()) return false;
-    if (!it->second.exact && it->second.value > floor) return false;
-    out = it->second;
+    const std::uint32_t ref = s.slots[s.find(key, hash)];
+    if (ref == 0) return false;
+    const entry& held = s.recs[ref - 1].e;
+    if (!held.exact && held.value > floor) return false;
+    out = held;
     return true;
   }
 
   /// Inserts or improves the entry for `key`: exact beats inexact, and a
   /// smaller upper bound beats a larger one. FIFO-evicts the shard's
   /// oldest entry beyond the cap; `evicted` counts evictions performed.
-  void store(std::vector<std::uint64_t> key, std::uint64_t hash, entry e,
+  void store(key_view key, std::uint64_t hash, entry e,
              std::uint64_t& evicted) {
     shard& s = shard_of(hash);
     const std::scoped_lock lock(s.mutex);
-    const auto [it, inserted] = s.map.emplace(std::move(key), e);
-    if (!inserted) {
-      entry& held = it->second;
+    if (s.width == 0) s.width = key.size();
+    BSCHED_ASSERT(key.size() == s.width);
+    if (const std::uint32_t ref = s.slots[s.find(key, hash)]; ref != 0) {
+      entry& held = s.recs[ref - 1].e;
       const bool better = (e.exact && !held.exact) ||
                           (e.exact == held.exact && e.value < held.value);
       if (better) held = e;
       return;  // re-walks and racing twins revisit live entries
     }
-    if (cap_per_shard_ == 0) return;  // unbounded: no bookkeeping
-    s.fifo.push_back(&it->first);
-    if (s.map.size() > cap_per_shard_) {
-      s.map.erase(*s.fifo.front());
-      s.fifo.pop_front();
+    std::size_t at = s.recs.size();
+    if (cap_per_shard_ != 0 && at == cap_per_shard_) {
+      at = s.oldest;  // full ring: the new key takes the oldest's place
+      s.unlink(at);
+      s.oldest = (s.oldest + 1) % cap_per_shard_;
       ++evicted;
+    } else {
+      if (2 * (at + 1) > s.slots.size()) s.rehash();
+      s.recs.emplace_back();
+      s.keys.resize(s.keys.size() + s.width);
     }
+    s.recs[at] = {hash, e};
+    std::ranges::copy(key, s.keys.begin() +
+                               static_cast<std::ptrdiff_t>(at * s.width));
+    s.link(at);
   }
 
   /// Total live entries across shards (approximate under concurrency).
@@ -116,35 +139,98 @@ class memo_table {
     std::uint64_t total = 0;
     for (const auto& s : shards_) {
       const std::scoped_lock lock(s->mutex);
-      total += s->map.size();
+      total += s->recs.size();
     }
     return total;
   }
 
- private:
-  struct vec_hash {
-    std::size_t operator()(const std::vector<std::uint64_t>& v)
-        const noexcept {
-      // FNV-1a over the words.
-      std::uint64_t h = 1469598103934665603ULL;
-      for (const std::uint64_t w : v) {
-        h ^= w;
-        h *= 1099511628211ULL;
-      }
-      return static_cast<std::size_t>(h);
+  /// The key hash (FNV-1a over the words), shared with lookup/store
+  /// callers so it is computed once.
+  [[nodiscard]] static std::uint64_t hash_key(key_view key) noexcept {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const std::uint64_t w : key) {
+      h ^= w;
+      h *= 1099511628211ULL;
     }
+    return h;
+  }
+
+ private:
+  struct record {
+    std::uint64_t hash;
+    entry e;
   };
 
   struct shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::vector<std::uint64_t>, entry, vec_hash> map;
-    /// Keys in insertion order for FIFO eviction (key storage is stable
-    /// under rehashing, so the pointers hold).
-    std::deque<const std::vector<std::uint64_t>*> fifo;
+    std::size_t width = 0;              ///< Words per key; 0 = no key yet.
+    std::vector<record> recs;           ///< Arena, in insertion order.
+    std::vector<std::uint64_t> keys;    ///< Arena key words, `width` each.
+    std::vector<std::uint32_t> slots;   ///< Arena index + 1; 0 = free.
+    unsigned shift = 64;                ///< 64 - log2(slots.size()).
+    std::size_t oldest = 0;             ///< Ring position of the FIFO head.
+
+    shard() { rehash(); }
+
+    /// Home slot, by Fibonacci hashing: FNV-1a's low bits ignore the high
+    /// key bits, while the product's top bits depend on every hash bit.
+    [[nodiscard]] std::size_t home(std::uint64_t hash) const noexcept {
+      return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ULL) >>
+                                      shift);
+    }
+
+    /// The slot holding `key`, or the free slot ending its probe run.
+    [[nodiscard]] std::size_t find(key_view key, std::uint64_t hash) const {
+      const std::size_t mask = slots.size() - 1;
+      for (std::size_t i = home(hash);; i = (i + 1) & mask) {
+        const std::uint32_t ref = slots[i];
+        if (ref == 0) return i;
+        if (recs[ref - 1].hash == hash &&
+            std::ranges::equal(key, std::span{keys}.subspan(
+                                        (ref - 1) * width, width))) {
+          return i;
+        }
+      }
+    }
+
+    void link(std::size_t at) {
+      BSCHED_ASSERT(at < std::numeric_limits<std::uint32_t>::max());
+      const std::size_t mask = slots.size() - 1;
+      std::size_t i = home(recs[at].hash);
+      while (slots[i] != 0) i = (i + 1) & mask;
+      slots[i] = static_cast<std::uint32_t>(at + 1);
+    }
+
+    /// Removes arena entry `at` from the index by backward-shift deletion:
+    /// later members of its probe run move up so every lookup still finds
+    /// its key before the first free slot.
+    void unlink(std::size_t at) {
+      const std::size_t mask = slots.size() - 1;
+      std::size_t hole = home(recs[at].hash);
+      while (slots[hole] != at + 1) hole = (hole + 1) & mask;
+      for (std::size_t j = (hole + 1) & mask; slots[j] != 0;
+           j = (j + 1) & mask) {
+        const std::size_t k = home(recs[slots[j] - 1].hash);
+        // The entry at j may fill the hole iff the hole lies on its probe
+        // path, i.e. no further from home k than j itself.
+        if (((j - k) & mask) >= ((j - hole) & mask)) {
+          slots[hole] = slots[j];
+          hole = j;
+        }
+      }
+      slots[hole] = 0;
+    }
+
+    /// Doubles the index (load factor stays at most 1/2) and relinks.
+    void rehash() {
+      slots.assign(std::max<std::size_t>(16, 2 * slots.size()), 0);
+      shift = 64 - static_cast<unsigned>(std::countr_zero(slots.size()));
+      for (std::size_t at = 0; at < recs.size(); ++at) link(at);
+    }
   };
 
   shard& shard_of(std::uint64_t hash) {
-    // The map buckets on the low hash bits; shard on the high ones.
+    // Shard on the top hash bits; the index mixes in all of them.
     return *shards_[(hash >> 48) & (shards_.size() - 1)];
   }
 
@@ -152,13 +238,6 @@ class memo_table {
   std::uint64_t cap_per_shard_ = 0;
   std::mutex meta_mutex_;
   std::uint64_t fingerprint_ = 0;  ///< 0 = not yet attached.
-
- public:
-  /// The key hash, shared with lookup/store callers so it is computed once.
-  [[nodiscard]] static std::uint64_t hash_key(
-      const std::vector<std::uint64_t>& key) noexcept {
-    return vec_hash{}(key);
-  }
 };
 
 }  // namespace bsched::opt

@@ -20,12 +20,14 @@ class exact_schedule_policy final : public sched::policy {
       : minimize_(minimize), opts_(opts) {}
 
   void bind_model(const sched::model_info& model) override {
-    require(model.bank != nullptr,
-            "policy '" + name() +
-                "' is computed on the discrete grid and requires discrete "
-                "fidelity");
-    require(model.forecast != nullptr,
-            "policy '" + name() + "' needs the load forecast");
+    if (model.bank == nullptr) {
+      throw error("policy '" + name() +
+                  "' is computed on the discrete grid and requires discrete "
+                  "fidelity");
+    }
+    if (model.forecast == nullptr) {
+      throw error("policy '" + name() + "' needs the load forecast");
+    }
     const optimal_result plan =
         minimize_ ? worst_schedule(*model.bank, *model.forecast, opts_)
                   : optimal_schedule(*model.bank, *model.forecast, opts_);
@@ -37,15 +39,19 @@ class exact_schedule_policy final : public sched::policy {
   std::size_t choose(const sched::decision_context& ctx) override {
     if (cursor_ < decisions_.size()) {
       const std::size_t pick = decisions_[cursor_++];
-      require(pick < ctx.batteries.size() && !ctx.batteries[pick].empty,
-              "policy '" + name() + "': plan picks an unusable battery "
-              "(was the policy bound to this run's model?)");
+      if (pick >= ctx.batteries.size() || ctx.batteries[pick].empty) {
+        throw error("policy '" + name() +
+                    "': plan picks an unusable battery "
+                    "(was the policy bound to this run's model?)");
+      }
       return pick;
     }
     // The plan covers every new_job event until system death; past it
     // (e.g. an unbound direct-simulator use) fall back to greedy.
     const auto pick = sched::greedy_choice(ctx.batteries);
-    require(pick.has_value(), "policy '" + name() + "': all batteries empty");
+    if (!pick.has_value()) {
+      throw error("policy '" + name() + "': all batteries empty");
+    }
     return *pick;
   }
 

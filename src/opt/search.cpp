@@ -40,14 +40,56 @@ std::uint64_t pack(const kibam::discrete_state& b) {
          static_cast<std::uint64_t>(b.empty);
 }
 
-/// A candidate's identity for branch deduplication: batteries are
-/// interchangeable iff they share a type and a packed state.
-using candidate_sig = std::pair<std::size_t, std::uint64_t>;
-
 /// Steps in an epoch at the grid's granularity.
 std::int64_t epoch_steps(const load::epoch& e, const load::step_sizes& s) {
   return std::llround(e.duration_min / s.time_step_min);
 }
+
+/// The load's distinct epochs (prefix, then one cycle) priced once on the
+/// bank's grid, so a visit indexes a table instead of re-deriving the
+/// draw rate (an 8-way search) and rounding the length every time.
+class epoch_table {
+ public:
+  struct plan {
+    std::int64_t len;      ///< Steps in the epoch.
+    load::draw_rate rate;  ///< {0, 0} for an idle epoch.
+    [[nodiscard]] bool idle() const noexcept { return rate.units == 0; }
+  };
+
+  epoch_table(const load::trace& load, const load::step_sizes& steps)
+      : prefix_(load.prefix().size()), cycle_(load.cycle().size()) {
+    plans_.reserve(prefix_ + cycle_);
+    for (const auto* epochs : {&load.prefix(), &load.cycle()}) {
+      for (const load::epoch& e : *epochs) {
+        plans_.push_back({epoch_steps(e, steps),
+                          e.current_a > 0 ? load::rate_for(e.current_a, steps)
+                                          : load::draw_rate{0, 0}});
+        max_draw_units_ = std::max(max_draw_units_, plans_.back().rate.units);
+      }
+    }
+  }
+
+  /// Canonical epoch index within the cyclic structure (for memo keys).
+  [[nodiscard]] std::size_t canonical(std::size_t epoch) const noexcept {
+    if (epoch < prefix_) return epoch;
+    return prefix_ + (epoch - prefix_) % cycle_;
+  }
+
+  [[nodiscard]] const plan& at(std::size_t epoch) const noexcept {
+    return plans_[canonical(epoch)];
+  }
+
+  /// Largest single draw in the load, in units (at least 1).
+  [[nodiscard]] std::int64_t max_draw_units() const noexcept {
+    return max_draw_units_;
+  }
+
+ private:
+  std::size_t prefix_;
+  std::size_t cycle_;
+  std::vector<plan> plans_;
+  std::int64_t max_draw_units_ = 1;
+};
 
 /// One battery's supply curve for the trajectory bound: by wall-clock step
 /// t it can have delivered at most
@@ -120,13 +162,14 @@ std::int64_t supply_at(std::vector<supply_cursor>& cursors, std::int64_t t) {
 /// as the walk passes `limit` without a violation (callers only compare
 /// the result against `limit`, so the walk never costs more than the
 /// incumbent's remaining-lifetime scale). `limit = k_inf` is the exact
-/// public bound.
+/// public bound. `cursors` is the caller's reusable buffer.
 std::int64_t trajectory_walk(const kibam::bank& bank,
+                             const epoch_table& epochs,
                              const std::vector<kibam::discrete_state>& bats,
-                             const load::trace& load, std::size_t epoch_index,
-                             std::int64_t max_draw_units, std::int64_t limit) {
-  std::vector<supply_term> terms;
-  terms.reserve(bats.size());
+                             std::size_t epoch_index,
+                             std::int64_t max_draw_units, std::int64_t limit,
+                             std::vector<supply_cursor>& cursors) {
+  cursors.clear();
   std::int64_t cap_total = 0;
   for (std::size_t b = 0; b < bats.size(); ++b) {
     if (bats[b].empty) continue;
@@ -157,13 +200,11 @@ std::int64_t trajectory_walk(const kibam::bank& bank,
         sat = want > 0 ? (want + g - 1) / g : 0;
       }
     }
-    terms.push_back({cap, avail0, g, mr, re, max_draw_units, sat});
+    cursors.emplace_back(
+        supply_term{cap, avail0, g, mr, re, max_draw_units, sat});
     cap_total += cap;
   }
-  if (terms.empty()) return 0;
-  std::vector<supply_cursor> cursors;
-  cursors.reserve(terms.size());
-  for (const supply_term& u : terms) cursors.emplace_back(u);
+  if (cursors.empty()) return 0;
 
   // Walk the load, tracking wall-clock steps t0 and cumulative demand in
   // units: the system dies no later than the first draw whose demand
@@ -173,14 +214,14 @@ std::int64_t trajectory_walk(const kibam::bank& bank,
   std::int64_t demand = 0;
   std::size_t idx = epoch_index;
   for (std::size_t guard = 0; guard < 100'000'000; ++guard, ++idx) {
-    const load::epoch& e = load.at(idx);
-    const std::int64_t len = epoch_steps(e, bank.steps());
-    if (e.current_a <= 0) {
+    const epoch_table::plan& p = epochs.at(idx);
+    const std::int64_t len = p.len;
+    if (p.idle()) {
       t0 += len;
       if (t0 > limit) return limit + 1;
       continue;
     }
-    const load::draw_rate rate = load::rate_for(e.current_a, bank.steps());
+    const load::draw_rate rate = p.rate;
     const std::int64_t draws = len / rate.steps;
     // Supply is nondecreasing in t: when the epoch's whole demand fits
     // under the supply at its first draw, no draw inside can violate.
@@ -221,7 +262,7 @@ struct search_ctx {
   const load::trace& load;
   const search_options& opts;
   bool minimize;
-  std::int64_t max_draw_units = 1;  ///< Largest single draw in the load.
+  epoch_table epochs;
   std::vector<std::size_t> group_order;  ///< Battery indices, type-grouped.
   std::vector<std::size_t> group_begin;  ///< Group offsets in group_order.
 
@@ -229,8 +270,8 @@ struct search_ctx {
   /// the consumed steps, until `epoch` refers to a job epoch.
   void skip_idle(std::vector<kibam::discrete_state>& bats, std::size_t& epoch,
                  std::int64_t& consumed) const {
-    while (load.at(epoch).current_a <= 0) {
-      const std::int64_t steps = epoch_steps(load.at(epoch), bank.steps());
+    while (epochs.at(epoch).idle()) {
+      const std::int64_t steps = epochs.at(epoch).len;
       if (steps > 0) {
         bank.advance_all(bats, kibam::bank::idle, {0, 0}, steps);
       }
@@ -239,61 +280,20 @@ struct search_ctx {
     }
   }
 
-  /// Canonical epoch index within the cyclic structure (for memo keys).
-  std::size_t canonical(std::size_t epoch) const {
-    const std::size_t prefix = load.prefix().size();
-    if (epoch < prefix) return epoch;
-    return prefix + (epoch - prefix) % load.cycle().size();
-  }
-
-  std::vector<std::uint64_t> make_key(
-      const std::vector<kibam::discrete_state>& bats,
-      std::size_t epoch) const {
-    std::vector<std::uint64_t> key;
-    key.reserve(bats.size() + 1);
-    key.push_back(canonical(epoch));
-    for (std::size_t t = 0; t + 1 < group_begin.size(); ++t) {
-      const auto start = static_cast<std::ptrdiff_t>(key.size());
-      for (std::size_t i = group_begin[t]; i < group_begin[t + 1]; ++i) {
-        key.push_back(pack(bats[group_order[i]]));
+  /// Whether battery `i` is a branch candidate at a decision or hand-over
+  /// point: alive, and the lowest-index representative of its (type,
+  /// state) class.
+  bool representative(const std::vector<kibam::discrete_state>& bats,
+                      std::size_t i) const {
+    if (bats[i].empty) return false;
+    const std::uint64_t sig = pack(bats[i]);
+    for (std::size_t j = 0; j < i; ++j) {
+      if (!bats[j].empty && bank.type_of(j) == bank.type_of(i) &&
+          pack(bats[j]) == sig) {
+        return false;
       }
-      std::sort(key.begin() + start, key.end());
     }
-    return key;
-  }
-
-  /// Distinct branch candidates at a decision or hand-over point: one
-  /// representative (lowest index) per (type, state) class of the alive
-  /// batteries.
-  std::vector<std::size_t> distinct_candidates(
-      const std::vector<kibam::discrete_state>& bats) const {
-    std::vector<std::size_t> out;
-    std::vector<candidate_sig> tried;
-    for (std::size_t i = 0; i < bats.size(); ++i) {
-      if (bats[i].empty) continue;
-      const candidate_sig sig{bank.type_of(i), pack(bats[i])};
-      if (std::ranges::find(tried, sig) != tried.end()) continue;
-      tried.push_back(sig);
-      out.push_back(i);
-    }
-    return out;
-  }
-
-  /// Admissible bound on the steps from the start of epoch `epoch`, early-
-  /// outing past `limit` (trajectory bound) or exact (flat fallback).
-  std::int64_t bound_steps(const std::vector<kibam::discrete_state>& bats,
-                           std::size_t epoch, std::int64_t limit) const {
-    if (opts.per_battery_bound) {
-      return trajectory_walk(bank, bats, load, epoch, max_draw_units, limit);
-    }
-    std::int64_t alive = 0;
-    for (std::size_t b = 0; b < bats.size(); ++b) {
-      if (bats[b].empty) {
-        continue;
-      }
-      alive += deliverable_units(bank.disc(b), bats[b].n, max_draw_units);
-    }
-    return drain_bound_steps(bank.steps(), load, epoch, alive);
+    return true;
   }
 };
 
@@ -315,7 +315,7 @@ class evaluator {
   /// the result exceeds `floor`, otherwise an upper bound at most `floor`.
   std::int64_t node_value(const std::vector<kibam::discrete_state>& bats,
                           std::size_t epoch, std::int64_t floor) {
-    std::vector<std::uint64_t> key = cx_.make_key(bats, epoch);
+    const memo_table::key_view key = key_of(bats, epoch);
     const std::uint64_t hash = memo_table::hash_key(key);
     memo_table::entry hit;
     if (memo_.lookup(key, hash, floor, hit)) {
@@ -323,27 +323,30 @@ class evaluator {
       if (!hit.exact) ++stats.pruned;  // bounded reuse: a cut, not a value
       return hit.value;
     }
-    return expand(bats, epoch, floor, std::move(key), hash);
+    return expand(bats, epoch, floor, hash);
   }
 
   /// The expansion half of node_value, for callers that already looked the
-  /// state up (and missed): branches over the distinct candidates and
-  /// stores the result under the caller's key.
+  /// state up (and missed) under `hash`: branches over the distinct
+  /// candidates and stores the result under the state's key.
   std::int64_t expand(const std::vector<kibam::discrete_state>& bats,
                       std::size_t epoch, std::int64_t floor,
-                      std::vector<std::uint64_t> key, std::uint64_t hash) {
+                      std::uint64_t hash) {
     count_node();
 
     std::int64_t best = cx_.minimize ? k_inf : -1;
-    for (const std::size_t i : cx_.distinct_candidates(bats)) {
+    for (std::size_t i = 0; i < bats.size(); ++i) {
+      if (!cx_.representative(bats, i)) continue;
       auto copy = scratch_.copy_of(bats);
       const std::int64_t v = run_from(*copy, epoch, 0, i,
                                       cx_.minimize ? 0 : std::max(best, floor));
       best = cx_.minimize ? std::min(best, v) : std::max(best, v);
     }
     BSCHED_ASSERT(best >= 0 && best < k_inf);
+    // The children reused the key buffer; the key is a pure function of
+    // the (unchanged) node state, so refilling it is exact.
     std::uint64_t evicted = 0;
-    memo_.store(std::move(key), hash,
+    memo_.store(key_of(bats, epoch), hash,
                 {best, cx_.minimize || best > floor}, evicted);
     stats.memo_evictions += evicted;
     return best;
@@ -355,9 +358,9 @@ class evaluator {
   std::int64_t run_from(std::vector<kibam::discrete_state>& bats,
                         std::size_t epoch, std::int64_t offset,
                         std::size_t active, std::int64_t prune_below) {
-    const load::epoch& e = cx_.load.at(epoch);
-    const load::draw_rate rate = load::rate_for(e.current_a, cx_.bank.steps());
-    const std::int64_t total = epoch_steps(e, cx_.bank.steps());
+    const epoch_table::plan& p = cx_.epochs.at(epoch);
+    const load::draw_rate rate = p.rate;
+    const std::int64_t total = p.len;
     bats[active].discharge_elapsed = 0;
 
     std::int64_t local = 0;
@@ -374,7 +377,8 @@ class evaluator {
       if (all_empty) return local;
       // Forced hand-over: branch over the distinct alive batteries.
       std::int64_t best = cx_.minimize ? k_inf : -1;
-      for (const std::size_t b : cx_.distinct_candidates(bats)) {
+      for (std::size_t b = 0; b < bats.size(); ++b) {
+        if (!cx_.representative(bats, b)) continue;
         auto copy = scratch_.copy_of(bats);
         const std::int64_t v = run_from(
             *copy, epoch, i, b,
@@ -398,7 +402,7 @@ class evaluator {
     for (auto& b : bats) b.discharge_elapsed = 0;
 
     const std::int64_t floor = prune_below - consumed;
-    std::vector<std::uint64_t> key = cx_.make_key(bats, next);
+    const memo_table::key_view key = key_of(bats, next);
     const std::uint64_t hash = memo_table::hash_key(key);
     memo_table::entry hit;
     if (memo_.lookup(key, hash, floor, hit)) {
@@ -407,14 +411,14 @@ class evaluator {
       return consumed + hit.value;
     }
     if (!cx_.minimize && cx_.opts.prune) {
-      const std::int64_t w = cx_.bound_steps(bats, next, floor);
+      const std::int64_t w = bound_steps(bats, next, floor);
       if (w <= floor) {
         ++stats.pruned;
         ++stats.pruned_by_bound;
         return consumed + w;  // <= prune_below: an admissible upper bound.
       }
     }
-    return consumed + expand(bats, next, floor, std::move(key), hash);
+    return consumed + expand(bats, next, floor, hash);
   }
 
   /// Rebuilds the decision list of a finished run by re-walking the warmed
@@ -452,8 +456,47 @@ class evaluator {
     }
   }
 
+  /// The memo key of (`bats`, `epoch`): the canonical epoch, then the
+  /// packed states sorted within each type group. Filled into this
+  /// evaluator's buffer, so valid until the next key_of call. Public,
+  /// like the two below, for the parallel skeleton, which expands nodes
+  /// outside run_from.
+  memo_table::key_view key_of(const std::vector<kibam::discrete_state>& bats,
+                              std::size_t epoch) {
+    key_.resize(bats.size() + 1);
+    key_[0] = cx_.epochs.canonical(epoch);
+    auto out = key_.begin() + 1;
+    for (std::size_t t = 0; t + 1 < cx_.group_begin.size(); ++t) {
+      const auto start = out;
+      for (std::size_t i = cx_.group_begin[t]; i < cx_.group_begin[t + 1];
+           ++i) {
+        *out++ = pack(bats[cx_.group_order[i]]);
+      }
+      std::sort(start, out);
+    }
+    return key_;
+  }
+
+  /// Admissible bound on the steps from the start of epoch `epoch`, early-
+  /// outing past `limit` (trajectory bound) or exact (flat fallback).
+  std::int64_t bound_steps(const std::vector<kibam::discrete_state>& bats,
+                           std::size_t epoch, std::int64_t limit) {
+    const std::int64_t max_draw = cx_.epochs.max_draw_units();
+    if (cx_.opts.per_battery_bound) {
+      return trajectory_walk(cx_.bank, cx_.epochs, bats, epoch, max_draw,
+                             limit, cursors_);
+    }
+    std::int64_t alive = 0;
+    for (std::size_t b = 0; b < bats.size(); ++b) {
+      if (bats[b].empty) {
+        continue;
+      }
+      alive += deliverable_units(cx_.bank.disc(b), bats[b].n, max_draw);
+    }
+    return drain_bound_steps(cx_.bank.steps(), cx_.load, epoch, alive);
+  }
+
   /// Registers one expanded decision node against the shared budget.
-  /// Public because the parallel skeleton expands nodes outside run_from.
   void count_node() {
     ++stats.nodes;
     require(nodes_total_.fetch_add(1, std::memory_order_relaxed) <
@@ -484,9 +527,9 @@ class evaluator {
   bool try_probe(std::vector<kibam::discrete_state>& bats, std::size_t epoch,
                  std::int64_t offset, std::size_t active, std::int64_t target,
                  std::vector<std::size_t>& decisions, walk_result& out) {
-    const load::epoch& e = cx_.load.at(epoch);
-    const load::draw_rate rate = load::rate_for(e.current_a, cx_.bank.steps());
-    const std::int64_t total = epoch_steps(e, cx_.bank.steps());
+    const epoch_table::plan& p = cx_.epochs.at(epoch);
+    const load::draw_rate rate = p.rate;
+    const std::int64_t total = p.len;
     bats[active].discharge_elapsed = 0;
 
     std::int64_t local = 0;
@@ -538,13 +581,17 @@ class evaluator {
   memo_table& memo_;
   std::atomic<std::uint64_t>& nodes_total_;
   kibam::scratch_pool scratch_;
+  std::vector<std::uint64_t> key_;        ///< key_of's buffer.
+  std::vector<supply_cursor> cursors_;    ///< bound_steps' buffer.
 };
 
 class searcher {
  public:
   searcher(const kibam::bank& bank, const load::trace& load,
            const search_options& opts, bool minimize)
-      : opts_(opts), cx_{bank, load, opts_, minimize, 1, {}, {}} {
+      : opts_(opts),
+        cx_{bank, load, opts_, minimize, epoch_table{load, bank.steps()}, {},
+            {}} {
     // Battery indices ordered by type: the memo key sorts states within
     // each contiguous same-type group, so permutations of interchangeable
     // batteries collapse while distinct types never mix.
@@ -556,16 +603,6 @@ class searcher {
       }
     }
     cx_.group_begin.push_back(cx_.group_order.size());
-    const auto scan = [&](const std::vector<load::epoch>& epochs) {
-      for (const load::epoch& e : epochs) {
-        if (e.current_a <= 0) continue;
-        cx_.max_draw_units =
-            std::max(cx_.max_draw_units,
-                     load::rate_for(e.current_a, bank.steps()).units);
-      }
-    };
-    scan(load.prefix());
-    scan(load.cycle());
   }
 
   optimal_result run() {
@@ -725,12 +762,12 @@ class searcher {
 
     std::deque<pending> frontier;
     {  // Root decision fold and its candidate branches.
-      std::vector<std::uint64_t> key = cx_.make_key(bats, epoch);
-      const std::uint64_t hash = memo_table::hash_key(key);
-      folds.push_back(
-          {npos, 0, root_floor, true, std::move(key), hash, init});
+      const memo_table::key_view key = eval.key_of(bats, epoch);
+      folds.push_back({npos, 0, root_floor, true, {key.begin(), key.end()},
+                       memo_table::hash_key(key), init});
       eval.count_node();
-      for (const std::size_t i : cx_.distinct_candidates(bats)) {
+      for (std::size_t i = 0; i < bats.size(); ++i) {
+        if (!cx_.representative(bats, i)) continue;
         frontier.push_back({bats, epoch, 0, i, root_floor, 0});
       }
     }
@@ -743,10 +780,9 @@ class searcher {
          ++expanded) {
       pending t = std::move(frontier.front());
       frontier.pop_front();
-      const load::epoch& e = cx_.load.at(t.epoch);
-      const load::draw_rate rate =
-          load::rate_for(e.current_a, cx_.bank.steps());
-      const std::int64_t total = epoch_steps(e, cx_.bank.steps());
+      const epoch_table::plan& p = cx_.epochs.at(t.epoch);
+      const load::draw_rate rate = p.rate;
+      const std::int64_t total = p.len;
       t.bats[t.active].discharge_elapsed = 0;
 
       std::int64_t local = 0;
@@ -766,7 +802,8 @@ class searcher {
         const std::int64_t pb = t.prune_below - local;
         folds.push_back({t.fold, local, pb, false, {}, 0, init});
         const std::size_t f = folds.size() - 1;
-        for (const std::size_t b : cx_.distinct_candidates(t.bats)) {
+        for (std::size_t b = 0; b < t.bats.size(); ++b) {
+          if (!cx_.representative(t.bats, b)) continue;
           frontier.push_back({t.bats, t.epoch, i, b, pb, f});
         }
         branched = true;
@@ -781,7 +818,7 @@ class searcher {
 
       const std::int64_t floor = t.prune_below - consumed;
       if (!cx_.minimize && cx_.opts.prune) {
-        const std::int64_t w = cx_.bound_steps(t.bats, next, floor);
+        const std::int64_t w = eval.bound_steps(t.bats, next, floor);
         if (w <= floor) {
           ++eval.stats.pruned;
           ++eval.stats.pruned_by_bound;
@@ -789,7 +826,7 @@ class searcher {
           continue;
         }
       }
-      std::vector<std::uint64_t> key = cx_.make_key(t.bats, next);
+      const memo_table::key_view key = eval.key_of(t.bats, next);
       const std::uint64_t hash = memo_table::hash_key(key);
       memo_table::entry hit;
       if (memo.lookup(key, hash, floor, hit)) {
@@ -799,10 +836,11 @@ class searcher {
         continue;
       }
       eval.count_node();
-      folds.push_back(
-          {t.fold, consumed, floor, true, std::move(key), hash, init});
+      folds.push_back({t.fold, consumed, floor, true, {key.begin(), key.end()},
+                       hash, init});
       const std::size_t f = folds.size() - 1;
-      for (const std::size_t i : cx_.distinct_candidates(t.bats)) {
+      for (std::size_t i = 0; i < t.bats.size(); ++i) {
+        if (!cx_.representative(t.bats, i)) continue;
         frontier.push_back({t.bats, next, 0, i, floor, f});
       }
     }
@@ -848,7 +886,7 @@ class searcher {
       BSCHED_ASSERT(r.best != init);
       if (r.decision) {
         std::uint64_t evicted = 0;
-        memo.store(std::move(r.key), r.hash,
+        memo.store(r.key, r.hash,
                    {r.best, cx_.minimize || r.best > r.floor}, evicted);
         eval.stats.memo_evictions += evicted;
       }
@@ -857,7 +895,7 @@ class searcher {
     fold_rec& root = folds.front();
     BSCHED_ASSERT(root.best != init);
     std::uint64_t evicted = 0;
-    memo.store(std::move(root.key), root.hash,
+    memo.store(root.key, root.hash,
                {root.best, cx_.minimize || root.best > root.floor}, evicted);
     eval.stats.memo_evictions += evicted;
     return root.best;
@@ -938,8 +976,9 @@ std::int64_t trajectory_bound_steps(const kibam::bank& bank,
           "trajectory_bound_steps: one state per bank battery");
   require(max_draw_units >= 1,
           "trajectory_bound_steps: draws deliver >= 1 unit");
-  return trajectory_walk(bank, bats, load, epoch_index, max_draw_units,
-                         k_inf);
+  std::vector<supply_cursor> cursors;
+  return trajectory_walk(bank, epoch_table{load, bank.steps()}, bats,
+                         epoch_index, max_draw_units, k_inf, cursors);
 }
 
 std::shared_ptr<memo_table> make_shared_memo(std::uint64_t max_entries,

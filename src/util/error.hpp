@@ -25,7 +25,16 @@ class error : public std::runtime_error {
 /// (or a wire protocol) identifies its source without a stack trace.
 /// scripts/lint_bsched.py (rule `require-prefix`) enforces this across
 /// src/.
+///
+/// A literal message binds to the `const char*` overload, so a check that
+/// holds costs only the compare. A message built by concatenation is
+/// built on every call, holding or not: on hot paths, test first and
+/// build it only when throwing (`if (!ok) throw error("mod: " + ...)`).
 inline void require(bool condition, const std::string& message) {
+  if (!condition) throw error(message);
+}
+
+inline void require(bool condition, const char* message) {
   if (!condition) throw error(message);
 }
 

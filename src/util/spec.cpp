@@ -17,9 +17,10 @@ T parse_number(const spec& s, const std::string& key, T fallback) {
   T value{};
   const auto [ptr, ec] =
       std::from_chars(v.data(), v.data() + v.size(), value);
-  require(ec == std::errc{} && ptr == v.data() + v.size(),
-          "spec '" + s.name + "': parameter " + key + "=" + v +
-              " is not a valid number");
+  if (ec != std::errc{} || ptr != v.data() + v.size()) {
+    throw error("spec '" + s.name + "': parameter " + key + "=" + v +
+                " is not a valid number");
+  }
   return value;
 }
 
@@ -86,7 +87,7 @@ spec parse_spec(const std::string& text) {
   spec out;
   const std::size_t colon = text.find(':');
   out.name = text.substr(0, colon);
-  require(!out.name.empty(), "spec: empty name in '" + text + "'");
+  if (out.name.empty()) throw error("spec: empty name in '" + text + "'");
   if (colon == std::string::npos) return out;
 
   std::size_t pos = colon + 1;
@@ -94,12 +95,15 @@ spec parse_spec(const std::string& text) {
     const std::size_t comma = std::min(text.find(',', pos), text.size());
     const std::string item = text.substr(pos, comma - pos);
     const std::size_t eq = item.find('=');
-    require(eq != std::string::npos && eq > 0,
-            "spec '" + out.name + "': expected key=value, got '" + item +
-                "'");
+    if (eq == std::string::npos || eq == 0) {
+      throw error("spec '" + out.name + "': expected key=value, got '" +
+                  item + "'");
+    }
     const std::string key = item.substr(0, eq);
-    require(!out.params.contains(key),
-            "spec '" + out.name + "': duplicate parameter '" + key + "'");
+    if (out.params.contains(key)) {
+      throw error("spec '" + out.name + "': duplicate parameter '" + key +
+                  "'");
+    }
     out.params.emplace(key, item.substr(eq + 1));
     pos = comma + 1;
   }
