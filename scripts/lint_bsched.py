@@ -34,6 +34,12 @@ Rules (see README "Correctness tooling"):
   pragma-once       every header (src/, tools/, tests/, bench/) carries
                     #pragma once.
 
+  line-codec        no std::getline in src/ outside src/util/text.cpp:
+                    every line-oriented decoder reads through
+                    util::line_reader, so a hand-rolled reader (with its
+                    own line counting, CR policy and error wording)
+                    cannot come back. tools/ and tests/ may read lines.
+
   version-literal   wire-format version strings ("bsched-shard",
                     "bsched-sweep", "bsched-msg", "bsched-telemetry")
                     appear in exactly one owning codec file each
@@ -95,6 +101,10 @@ VERSION_PATTERN = re.compile(
     r'"[^"\n]*bsched-(' +
     "|".join(sorted(k.removeprefix("bsched-") for k in VERSION_OWNERS)) +
     r')[^"\n]*"')
+
+GETLINE_PATTERN = re.compile(r"\bstd::getline\b")
+
+LINE_CODEC_OWNER = os.path.join("src", "util", "text.cpp")
 
 OBS_DETAIL_PATTERN = re.compile(r"\bobs\s*::\s*detail\b")
 
@@ -203,8 +213,9 @@ def check_no_io(rel, code):
     if rel in IO_ALLOWLIST or not rel.startswith("src" + os.sep):
         return []
     findings = []
-    for m in IO_PATTERN.finditer(strip_strings(code)):
-        findings.append((line_of(code, m.start()), "no-io",
+    stripped = strip_strings(code)
+    for m in IO_PATTERN.finditer(stripped):
+        findings.append((line_of(stripped, m.start()), "no-io",
                          f"library code writes to stdout/stderr "
                          f"('{m.group().strip()}'); return values or take "
                          f"an std::ostream sink"))
@@ -269,8 +280,9 @@ def check_rng(rel, code):
     if os.path.splitext(rel)[0] == os.path.join("src", "util", "rng"):
         return []
     findings = []
-    for m in RNG_PATTERN.finditer(strip_strings(code)):
-        findings.append((line_of(code, m.start()), "rng-discipline",
+    stripped = strip_strings(code)
+    for m in RNG_PATTERN.finditer(stripped):
+        findings.append((line_of(stripped, m.start()), "rng-discipline",
                          f"'{m.group().strip()}' bypasses util/rng — all "
                          f"randomness/time must come from explicit seeds"))
     return findings
@@ -299,14 +311,28 @@ def check_version_literals(rel, code):
     return findings
 
 
+def check_line_codec(rel, code):
+    if not rel.startswith("src" + os.sep) or rel == LINE_CODEC_OWNER:
+        return []
+    findings = []
+    stripped = strip_strings(code)
+    for m in GETLINE_PATTERN.finditer(stripped):
+        findings.append((line_of(stripped, m.start()), "line-codec",
+                         "hand-rolled line reader — decode line-oriented "
+                         "text through util::line_reader "
+                         "(src/util/text.hpp)"))
+    return findings
+
+
 def check_threads(rel, code):
     if not rel.startswith("src" + os.sep):
         return []
     if rel.startswith(THREAD_ALLOW_PREFIXES):
         return []
     findings = []
-    for m in THREAD_PATTERN.finditer(strip_strings(code)):
-        findings.append((line_of(code, m.start()), "thread-discipline",
+    stripped = strip_strings(code)
+    for m in THREAD_PATTERN.finditer(stripped):
+        findings.append((line_of(stripped, m.start()), "thread-discipline",
                          f"'{m.group().strip()}' spawns outside the budgeted "
                          f"pools — go through util::task_pool / "
                          f"util::thread_budget (src/util) or the engine "
@@ -321,9 +347,10 @@ def check_obs_detail(rel, code):
     if rel.startswith(os.path.join("src", "obs") + os.sep):
         return []
     findings = []
-    for m in OBS_DETAIL_PATTERN.finditer(strip_strings(code)):
+    stripped = strip_strings(code)
+    for m in OBS_DETAIL_PATTERN.finditer(stripped):
         findings.append(
-            (line_of(code, m.start()), "obs-discipline",
+            (line_of(stripped, m.start()), "obs-discipline",
              "direct obs::detail use outside src/obs — instrument through "
              "the BSCHED_* macros of obs/obs.hpp so the site compiles away "
              "under BSCHED_OBS=OFF"))
@@ -331,7 +358,8 @@ def check_obs_detail(rel, code):
 
 
 CODE_CHECKS = (check_no_io, check_require_prefix, check_rng,
-               check_version_literals, check_threads, check_obs_detail)
+               check_version_literals, check_line_codec, check_threads,
+               check_obs_detail)
 
 
 def lint_file(rel, text):
@@ -472,6 +500,23 @@ def self_test():
         ("telemetry version literal astray in src",
          "src/svc/worker.cpp", 'auto m = "bsched-telemetry v1";',
          ["version-literal"]),
+        ("getline in a library decoder",
+         "src/dist/codec.cpp",
+         "void f(std::istream& in) { std::string l; std::getline(in, l); }",
+         ["line-codec"]),
+        ("getline in a header",
+         "src/obs/telemetry.hpp",
+         "#pragma once\ninline void f() { std::getline(in, line); }",
+         ["line-codec"]),
+        ("the line codec core may read lines",
+         "src/util/text.cpp", "void f() { std::getline(in, line); }", []),
+        ("tools may read lines",
+         "tools/sweep_merge.cpp", "void f() { std::getline(in, line); }",
+         []),
+        ("tests may read lines",
+         "tests/test_dist.cpp", "void f() { std::getline(in, line); }", []),
+        ("getline in a comment is fine",
+         "src/net/message.cpp", "// no std::getline loop here\n", []),
         ("obs::detail outside src/obs",
          "src/api/engine.cpp",
          "void f() { static obs::detail::counter_handle h{\"x\"}; }",
@@ -514,6 +559,16 @@ def self_test():
     ]
 
     failures = 0
+    # Findings name the file's own line even when string literals before
+    # the match were blanked for the scan.
+    lines = [line for line, _, _ in lint_file(
+        os.path.join("src", "dist", "codec.cpp"),
+        'const char* a = "a long literal\\n with text";\n'
+        'void f() { std::getline(in, l); }\n')]
+    if lines != [2]:
+        print(f"self-test FAIL: finding line after a literal: expected [2], "
+              f"got {lines}", file=sys.stderr)
+        failures += 1
     for name, path, content, expected in cases:
         rel = path.replace("/", os.sep)
         got = rules(rel, content)

@@ -24,12 +24,10 @@
 //   ...
 //   end
 //
-// Stability note: v1 is append-only — readers reject a different version
-// line rather than guessing, and any future field additions bump the
-// version. Decoding is strict: wrong magic, truncation, a duplicated or
-// out-of-place section, unknown record tags and malformed numbers all
-// throw bsched::error naming the 1-based line number and the section
-// being decoded — there is no silent partial decode.
+// Stability note: v1 is append-only — any future field additions bump
+// the version. Decoding follows the shared strict policy of
+// util/text.hpp (line_reader): errors name the line and the section
+// ("shard header", "cell 3", ...) being decoded.
 //
 // A second section, "bsched-sweep v1", serializes a full api::sweep
 // *definition* (the grid itself, not results): per cell the battery
@@ -56,8 +54,8 @@ inline constexpr std::size_t codec_version = 1;
 /// Writes `agg` to `out` in the v1 line format.
 void encode(const shard_aggregate& agg, std::ostream& out);
 
-/// Parses one aggregate back; strict inverse of encode. Throws
-/// bsched::error on version mismatch or malformed input.
+/// Parses one aggregate back; strict inverse of encode. Reads the rest
+/// of `in`: nothing may follow the closing "end" line.
 [[nodiscard]] shard_aggregate decode(std::istream& in);
 
 /// File convenience wrappers around encode/decode. Throw bsched::error
@@ -71,7 +69,6 @@ void write_file(const shard_aggregate& agg, const std::string& path);
 void encode_sweep(const api::sweep& sw, std::ostream& out);
 
 /// Parses a sweep definition back; strict inverse of encode_sweep.
-/// Throws bsched::error (line + section named) on malformed input.
 [[nodiscard]] api::sweep decode_sweep(std::istream& in);
 
 /// String convenience wrappers — the forms the sweep service puts on the

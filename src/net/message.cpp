@@ -9,13 +9,13 @@
 namespace bsched::net {
 
 std::uint64_t message::u64(const std::string& key) const {
-  return parse_u64(str(key), "net: message '" + type + "' field " + key);
+  return parse_u64(str(key), "net: message '" + clip(type) + "' field " + key);
 }
 
 const std::string& message::str(const std::string& key) const {
   const auto it = fields.find(key);
   if (it == fields.end()) {
-    throw error("net: message '" + type + "' is missing field '" + key +
+    throw error("net: message '" + clip(type) + "' is missing field '" + key +
                 "'");
   }
   return it->second;
@@ -43,13 +43,6 @@ bool is_token(std::string_view s) {
     }
   }
   return true;
-}
-
-/// At most `limit` bytes of hostile input, for error messages: enough
-/// to identify the frame, never enough to amplify it.
-std::string clip(std::string_view s, std::size_t limit = 64) {
-  if (s.size() <= limit) return std::string{s};
-  return std::string{s.substr(0, limit)} + "...";
 }
 
 }  // namespace
@@ -89,39 +82,29 @@ message decode(std::string_view frame) {
                 " bytes exceeds the " + std::to_string(max_header_bytes) +
                 "-byte limit");
   }
-  std::string_view header = frame.substr(0, eol);
-  for (const char c : header) {
-    if (!is_header_byte(static_cast<unsigned char>(c))) {
-      throw error("net: header contains control bytes: '" + clip(header) +
-                  "'");
-    }
+  const std::string_view header = frame.substr(0, eol);
+  line_reader r{frame.substr(0, eol + 1), "bsched-msg"};
+  (void)r.next();  // the header line, which the frame is known to have
+  r.section("header");
+  if (!std::all_of(header.begin(), header.end(), [](char c) {
+        return is_header_byte(static_cast<unsigned char>(c));
+      })) {
+    r.fail("header contains control bytes: '" + clip(header) + "'");
   }
-
-  const std::string magic =
-      "bsched-msg v" + std::to_string(protocol_version);
-  if (header.substr(0, magic.size()) != magic ||
-      header.size() <= magic.size() || header[magic.size()] != ' ') {
-    throw error("net: bad message magic '" + clip(header) +
-                "' (this peer speaks '" + magic + "')");
+  const std::string magic = "bsched-msg v" + std::to_string(protocol_version);
+  if (!header.starts_with(magic + ' ')) {
+    r.fail("bad message magic '" + clip(header) + "' (this peer speaks '" +
+           magic + "')");
   }
-  header.remove_prefix(magic.size() + 1);
-
+  // Tokens 0 and 1 are the magic; then the type and its key=value fields.
   message m;
-  std::size_t end = std::min(header.find(' '), header.size());
-  m.type = std::string{header.substr(0, end)};
-  require(!m.type.empty(), "net: message has an empty type");
-  while (end < header.size()) {
-    header.remove_prefix(end + 1);
-    end = std::min(header.find(' '), header.size());
-    const std::string_view field = header.substr(0, end);
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      throw error("net: malformed header field '" + clip(field) +
-                  "' in message '" + clip(m.type) + "'");
+  m.type = std::string{r.token(2)};
+  for (std::size_t i = 3; i < r.size(); ++i) {
+    const auto [key, value] = r.field(i);
+    if (!m.fields.emplace(std::string{key}, std::string{value}).second) {
+      r.fail("repeated key '" + clip(key) + "' in message '" + clip(m.type) +
+             "'");
     }
-    m.fields.emplace(std::string{field.substr(0, eq)},
-                     std::string{field.substr(eq + 1)});
   }
   m.body = std::string{frame.substr(eol + 1)};
   return m;

@@ -10,12 +10,11 @@
 // (they are numbers and tokens; bytes >= 0x80 pass through opaquely so
 // worker names may be UTF-8); anything bulky — the sweep definition,
 // shard aggregates — travels in the body as a dist::codec section.
-// Decoding rejects a different protocol version outright, so a v2
-// coordinator never half-understands a v1 worker or vice versa, and is
-// safe on hostile frames: the header line is capped at
-// max_header_bytes, control bytes anywhere in it are rejected, and
-// error messages echo at most a clipped prefix of attacker-controlled
-// input.
+// The header line is read under the shared strict policy of
+// util/text.hpp, so a v2 coordinator never half-understands a v1 worker
+// or vice versa. On top of it, the header line is capped at
+// max_header_bytes and control bytes anywhere in it (CR included) are
+// rejected.
 //
 // Message types of protocol v1 (C = coordinator, W = worker):
 //
@@ -77,8 +76,7 @@ struct message {
 /// header field contains a space or newline (header values are tokens).
 [[nodiscard]] std::string encode(const message& m);
 
-/// Parses a frame payload back; strict inverse of encode. Throws
-/// bsched::error on a foreign protocol version or malformed header.
+/// Parses a frame payload back; strict inverse of encode.
 [[nodiscard]] message decode(std::string_view frame);
 
 /// Convenience builder for the common "type + numeric fields" shape.

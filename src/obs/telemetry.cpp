@@ -1,7 +1,6 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -14,71 +13,33 @@ namespace bsched::obs {
 
 namespace {
 
-/// Splits a line into whitespace-free tokens (single spaces between
-/// fields; the encoder never emits doubled spaces).
-std::vector<std::string_view> tokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t space = line.find(' ', pos);
-    const std::size_t end = space == std::string_view::npos ? line.size()
-                                                            : space;
-    if (end > pos) out.push_back(line.substr(pos, end - pos));
-    pos = end + 1;
-  }
+/// Pointers to `samples` in the encoder's canonical order: by name.
+template <class Sample>
+std::vector<const Sample*> by_name(const std::vector<Sample>& samples) {
+  std::vector<const Sample*> out;
+  out.reserve(samples.size());
+  for (const Sample& s : samples) out.push_back(&s);
+  std::sort(out.begin(), out.end(),
+            [](const Sample* a, const Sample* b) { return a->name < b->name; });
   return out;
-}
-
-[[noreturn]] void fail(std::size_t line_no, const std::string& detail) {
-  throw error("obs: telemetry line " + std::to_string(line_no) + ": " +
-              detail);
-}
-
-std::string_view keyed(std::string_view token, std::string_view key,
-                       std::size_t line_no) {
-  if (token.size() <= key.size() + 1 ||
-      token.substr(0, key.size()) != key || token[key.size()] != '=') {
-    fail(line_no, "expected '" + std::string{key} + "=...', got '" +
-                      std::string{token} + "'");
-  }
-  return token.substr(key.size() + 1);
 }
 
 }  // namespace
 
 void encode_telemetry(const snapshot& snap, std::ostream& out) {
   out << "bsched-telemetry v" << telemetry_version << '\n';
-
-  std::vector<const counter_sample*> counters;
-  counters.reserve(snap.counters.size());
-  for (const counter_sample& c : snap.counters) counters.push_back(&c);
-  std::sort(counters.begin(), counters.end(),
-            [](const auto* a, const auto* b) { return a->name < b->name; });
-  for (const counter_sample* c : counters) {
+  for (const counter_sample* c : by_name(snap.counters)) {
     out << "counter " << c->name << ' ' << c->value << '\n';
   }
-
-  std::vector<const gauge_sample*> gauges;
-  gauges.reserve(snap.gauges.size());
-  for (const gauge_sample& g : snap.gauges) gauges.push_back(&g);
-  std::sort(gauges.begin(), gauges.end(),
-            [](const auto* a, const auto* b) { return a->name < b->name; });
-  for (const gauge_sample* g : gauges) {
+  for (const gauge_sample* g : by_name(snap.gauges)) {
     out << "gauge " << g->name << ' ' << shortest_double(g->value) << '\n';
   }
-
-  std::vector<const histogram_sample*> hists;
-  hists.reserve(snap.histograms.size());
-  for (const histogram_sample& h : snap.histograms) hists.push_back(&h);
-  std::sort(hists.begin(), hists.end(),
-            [](const auto* a, const auto* b) { return a->name < b->name; });
-  for (const histogram_sample* h : hists) {
+  for (const histogram_sample* h : by_name(snap.histograms)) {
     out << "hist " << h->name << " bounds=" << h->bounds.size();
     for (const double b : h->bounds) out << ' ' << shortest_double(b);
     for (const std::uint64_t c : h->buckets) out << ' ' << c;
     out << " sum=" << shortest_double(h->sum) << '\n';
   }
-
   out << "end\n";
   require(out.good(), "obs: telemetry sink write failed");
 }
@@ -89,80 +50,54 @@ std::string encode_telemetry_str(const snapshot& snap) {
   return out.str();
 }
 
-snapshot decode_telemetry(std::istream& in) {
-  std::string line;
-  std::size_t line_no = 0;
-  const auto next_line = [&]() {
-    if (!std::getline(in, line)) {
-      fail(line_no + 1, "unexpected end of stream");
-    }
-    ++line_no;
-  };
-
-  next_line();
-  const std::string magic =
-      "bsched-telemetry v" + std::to_string(telemetry_version);
-  if (line != magic) {
-    fail(line_no, "bad magic '" + line + "' (this reader speaks '" + magic +
-                      "')");
-  }
+snapshot decode_telemetry_str(const std::string& text) {
+  line_reader r{text, "bsched-telemetry"};
+  r.expect_magic("bsched-telemetry v" + std::to_string(telemetry_version));
 
   snapshot snap;
   while (true) {
-    next_line();
-    if (line == "end") break;
-    const std::vector<std::string_view> t = tokens(line);
-    if (t.empty()) fail(line_no, "blank line inside telemetry body");
-    const std::string_view tag = t[0];
+    r.advance("a record or 'end'");
+    const std::string_view tag = r.tag();
+    if (tag == "end") break;
+    if ((tag == "counter" || tag == "gauge") && r.size() != 3) {
+      r.fail(std::string{tag} + " wants '<name> <value>'");
+    }
     if (tag == "counter") {
-      if (t.size() != 3) fail(line_no, "counter wants '<name> <value>'");
-      counter_sample c;
-      c.name = std::string{t[1]};
-      c.value = parse_u64(t[2], "obs: telemetry counter value");
-      snap.counters.push_back(std::move(c));
+      snap.counters.push_back(
+          {std::string{r.token(1)}, r.to_u64(r.token(2), "counter value")});
     } else if (tag == "gauge") {
-      if (t.size() != 3) fail(line_no, "gauge wants '<name> <value>'");
-      gauge_sample g;
-      g.name = std::string{t[1]};
-      g.value = parse_double(t[2], "obs: telemetry gauge value");
-      snap.gauges.push_back(std::move(g));
+      snap.gauges.push_back(
+          {std::string{r.token(1)}, r.to_f64(r.token(2), "gauge value")});
     } else if (tag == "hist") {
-      if (t.size() < 4) fail(line_no, "truncated hist record");
       histogram_sample h;
-      h.name = std::string{t[1]};
-      const std::size_t k = static_cast<std::size_t>(
-          parse_u64(keyed(t[2], "bounds", line_no),
-                    "obs: telemetry hist bound count"));
-      // name + bounds=k + k bounds + (k+1) buckets + sum.
-      if (k == 0 || t.size() != 3 + k + (k + 1) + 1) {
-        fail(line_no, "hist field count does not match bounds=" +
-                          std::to_string(k));
+      h.name = std::string{r.token(1)};
+      const auto [bounds_key, bounds] = r.field(2);
+      const std::uint64_t k = r.to_u64(bounds, "hist bound count");
+      // tag + name + bounds=k + k bounds + (k+1) buckets + sum=.
+      if (bounds_key != "bounds" || k == 0 || k > r.size() ||
+          r.size() != 2 * k + 5) {
+        r.fail("hist field count does not match bounds=" + clip(bounds));
       }
       for (std::size_t i = 0; i < k; ++i) {
-        h.bounds.push_back(
-            parse_double(t[3 + i], "obs: telemetry hist bound"));
+        h.bounds.push_back(r.to_f64(r.token(3 + i), "hist bound"));
       }
       for (std::size_t i = 0; i <= k; ++i) {
-        h.buckets.push_back(
-            parse_u64(t[3 + k + i], "obs: telemetry hist bucket"));
+        h.buckets.push_back(r.to_u64(r.token(3 + k + i), "hist bucket"));
       }
-      h.sum = parse_double(keyed(t.back(), "sum", line_no),
-                           "obs: telemetry hist sum");
+      const auto [sum_key, sum] = r.field(r.size() - 1);
+      if (sum_key != "sum") r.fail("hist wants 'sum=' last");
+      h.sum = r.to_f64(sum, "hist sum");
       snap.histograms.push_back(std::move(h));
     } else {
-      fail(line_no, "unknown record tag '" + std::string{tag} + "'");
+      r.fail("unknown record tag '" + clip(tag) + "'");
     }
   }
-  // Strict inverse of the encoder: the document ends at "end".
-  if (in.peek() != std::istream::traits_type::eof()) {
-    fail(line_no + 1, "trailing content after 'end'");
-  }
+  r.expect_end();
   return snap;
 }
 
-snapshot decode_telemetry_str(const std::string& text) {
-  std::istringstream in{text};
-  return decode_telemetry(in);
+snapshot decode_telemetry(std::istream& in) {
+  return decode_telemetry_str(read_all(in));
 }
 
 }  // namespace bsched::obs

@@ -17,8 +17,7 @@
 // The encoder sorts by name within each kind, so two encodings of equal
 // snapshots are byte-identical (scrape determinism rides on this).
 // Doubles use util::shortest_double, so decode(encode(s)) == s exactly.
-// The decoder is strict: unknown tags, malformed counts, or a missing
-// magic/end line throw bsched::error.
+// Decoding follows the shared strict policy of util/text.hpp.
 #pragma once
 
 #include <iosfwd>
@@ -37,8 +36,7 @@ void encode_telemetry(const snapshot& snap, std::ostream& out);
 /// encode_telemetry into a string (heartbeat bodies).
 [[nodiscard]] std::string encode_telemetry_str(const snapshot& snap);
 
-/// Strict inverse of encode_telemetry; throws bsched::error on any
-/// deviation from the format.
+/// Strict inverse of encode_telemetry; reads the rest of `in`.
 [[nodiscard]] snapshot decode_telemetry(std::istream& in);
 
 /// decode_telemetry from a string (heartbeat bodies).

@@ -283,6 +283,24 @@ TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
                         "stats runs=2 evaluated=2 cache_hits=0 failures=0\n"
                         "end\n"),
       error);
+  // A complete, valid document followed by content after its "end".
+  const std::string empty_shard =
+      "bsched-shard v1\n"
+      "shard index=0 count=1 first=0 last=0\n"
+      "sweep cells=0 replications=1 seed=0 reseed=1 pair_by_load=0\n"
+      "stats runs=0 evaluated=0 cache_hits=0 failures=0\n"
+      "end\n";
+  EXPECT_EQ(decode_text(empty_shard).shard_count, 1u);
+  EXPECT_THROW((void)decode_text(empty_shard + "cell index=0\n"), error);
+  // A key repeated within one record is refused, not resolved to either.
+  EXPECT_THROW(
+      (void)decode_text("bsched-shard v1\n"
+                        "shard index=7 index=0 count=8 first=0 last=0\n"
+                        "sweep cells=0 replications=1 seed=0 reseed=1 "
+                        "pair_by_load=0\n"
+                        "stats runs=0 evaluated=0 cache_hits=0 failures=0\n"
+                        "end\n"),
+      error);
 }
 
 /// Splits text into lines (keeping no terminators) so tests can splice
@@ -352,6 +370,18 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
   } catch (const error& e) {
     EXPECT_NE(std::string{e.what()}.find("duplicated or out-of-place"),
               std::string::npos);
+  }
+
+  // A malformed centroid number names its line and cell, too.
+  std::vector<std::string> garbled = lines;
+  for (std::size_t i = 0; i < garbled.size(); ++i) {
+    if (garbled[i].rfind("lifetime ", 0) == 0) {
+      garbled[i] = "lifetime budget=64 centroids=1 abc:1";
+      expect_names_line_and_section(decode_fn,
+                                    join_lines(garbled, garbled.size()),
+                                    std::to_string(i + 1), "cell 0");
+      break;
+    }
   }
 }
 
@@ -423,6 +453,34 @@ TEST(DistCodec, SweepDecodeRejectsGarbageNamingLineAndSection) {
       break;
     }
   }
+
+  // A malformed epoch number of an explicit trace names its line and
+  // cell.
+  api::sweep traced = random_grid(1);
+  traced.cells.push_back(
+      cell(api::load_spec{load::trace{{{1.5, 0.1}}, {{10.0, 0.25}}}},
+           "round_robin"));
+  std::vector<std::string> bad_epoch = lines_of(encode_sweep_str(traced));
+  for (std::size_t i = 0; i < bad_epoch.size(); ++i) {
+    if (bad_epoch[i].rfind("prefix ", 0) == 0) {
+      bad_epoch[i] = "prefix epochs=1 x:1";
+      expect_names_line_and_section(
+          decode_fn, join_lines(bad_epoch, bad_epoch.size()),
+          std::to_string(i + 1),
+          "cell " + std::to_string(traced.cells.size() - 1));
+      break;
+    }
+  }
+
+  // Content after "end" and a key repeated within one record are
+  // refused.
+  EXPECT_THROW((void)decode_sweep_str(join_lines(lines, lines.size()) +
+                                      "end\n"),
+               error);
+  std::vector<std::string> repeated = lines;
+  repeated[1] += " seed=0";
+  EXPECT_THROW((void)decode_sweep_str(join_lines(repeated, repeated.size())),
+               error);
 
   // An unknown fidelity is refused by name.
   std::vector<std::string> foreign = lines;

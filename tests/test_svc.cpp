@@ -601,6 +601,9 @@ TEST(SvcNet, DecodeRejectsHostileInputWithTypedErrors) {
       net::decode("bsched-msg v1 t n=99999999999999999999999999\n");
   EXPECT_THROW((void)big.u64("n"), error);
   EXPECT_THROW((void)net::decode("bsched-msg v1 t =v\n"), error);
+  // A key repeated within one header is refused, not resolved to either.
+  EXPECT_THROW((void)net::decode("bsched-msg v1 lease lease=1 lease=2\n"),
+               error);
 }
 
 TEST(SvcNet, LoopbackFramesSurviveFragmentationAndTimeouts) {
