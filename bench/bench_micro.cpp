@@ -9,7 +9,6 @@
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "kibam/kibam.hpp"
-#include "kibam/soa.hpp"
 #include "load/jobs.hpp"
 #include "opt/search.hpp"
 #include "pta/dbm.hpp"
@@ -95,25 +94,6 @@ void bm_bank_advance_all(benchmark::State& state) {
 }
 BENCHMARK(bm_bank_advance_all);
 
-void bm_soa_advance_lane(benchmark::State& state) {
-  // The SoA batch kernel: eight independent replication lanes over one
-  // shared bank, each drained to death — the per-lane unit of work of
-  // run_sweep's batched cell evaluation.
-  const kibam::bank bk{{kibam::battery_b1(), kibam::battery_b2()}};
-  kibam::soa_bank soa{bk, 8};
-  const load::draw_rate rate{1, 4};
-  for (auto _ : state) {
-    for (std::size_t lane = 0; lane < soa.lanes(); ++lane) {
-      soa.reset_lane(lane);
-      while (soa.advance_lane(lane, 0, rate, 1 << 20).event !=
-             kibam::step_event::died) {
-      }
-    }
-    benchmark::DoNotOptimize(soa.empty(0, 0));
-  }
-}
-BENCHMARK(bm_soa_advance_lane);
-
 void bm_simulate_best_of_two(benchmark::State& state) {
   const kibam::discretization d{kibam::battery_b1()};
   const load::trace t = load::paper_trace(load::test_load::ils_alt);
@@ -129,7 +109,8 @@ void bm_sweep_cell_reps(benchmark::State& state) {
   // One stochastic sweep cell (seeded random load) replicated 32 times —
   // the unit of work a sweep worker evaluates per grid cell. Replications
   // share the bank, grid and policy and differ only in the derived load
-  // seed, so this is the batched-evaluation hot path of engine::run_sweep.
+  // seed, so this is engine::run_sweep's per-job path on a worker's cached
+  // bank.
   api::sweep sw;
   sw.cells = {api::scenario{.label = {},
                             .batteries = api::bank(2, kibam::battery_b1()),
@@ -229,32 +210,6 @@ BENCHMARK(bm_optimal_search_parallel)
     ->Arg(4)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
-
-void bm_soa_step_lane_wide(benchmark::State& state) {
-  // The vectorized recovery sweep: one per-tick step of a 16-battery
-  // heterogeneous lane. step_lane's simd loop is the only per-battery
-  // O(width) cost on the per-tick reference path, so this tracks the
-  // recovery sweep's throughput as lanes get wide.
-  std::vector<kibam::battery_parameters> mix;
-  for (int i = 0; i < 16; ++i) {
-    mix.push_back(i % 3 == 0 ? kibam::battery_b2() : kibam::battery_b1());
-  }
-  const kibam::bank bk{mix};
-  kibam::soa_bank soa{bk, 1};
-  const load::draw_rate rate{1, 4};
-  std::size_t active = 0;
-  for (auto _ : state) {
-    if (soa.step_lane(0, active, rate) == kibam::step_event::died) {
-      active = (active + 1) % soa.batteries();
-      if (soa.lane_all_empty(0)) {
-        soa.reset_lane(0);
-        active = 0;
-      }
-    }
-    benchmark::DoNotOptimize(soa.empty(0, active));
-  }
-}
-BENCHMARK(bm_soa_step_lane_wide);
 
 void bm_dbm_canonicalize(benchmark::State& state) {
   const auto clocks = static_cast<std::size_t>(state.range(0));

@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "kibam/bank.hpp"
-#include "kibam/soa.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/task_pool.hpp"
@@ -25,7 +24,8 @@ run_result engine::run(const scenario& scn) const {
   return run_in(scn, nullptr);
 }
 
-run_result engine::run_in(const scenario& scn, kibam::soa_bank* lane) const {
+run_result engine::run_in(const scenario& scn,
+                          const kibam::bank* bank) const {
   require(!scn.batteries.empty(), "engine: scenario needs >= 1 battery");
   const load::trace trace = scn.load.materialize();
   const std::unique_ptr<sched::policy> pol = resolve_policy(scn);
@@ -36,12 +36,10 @@ run_result engine::run_in(const scenario& scn, kibam::soa_bank* lane) const {
   // state representation the run advances.
   switch (scn.model) {
     case fidelity::discrete:
-      out.sim = lane != nullptr
-                    ? sched::simulate_discrete_lane(lane->source(), *lane, 0,
-                                                    trace, *pol, scn.sim)
-                    : sched::simulate_discrete(
-                          kibam::bank{scn.batteries, scn.steps}, trace, *pol,
-                          scn.sim);
+      out.sim = bank != nullptr
+                    ? sched::simulate_discrete(*bank, trace, *pol, scn.sim)
+                    : sched::simulate_discrete(scn.batteries, trace, *pol,
+                                               scn.sim, scn.steps);
       break;
     case fidelity::continuous:
       out.sim = sched::simulate_continuous(scn.batteries, trace, *pol,
@@ -171,45 +169,44 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
 
   // Dynamic scheduling: each worker pulls the next job in grid order, so
   // long jobs (exact searches on heavy loads) never queue behind each
-  // other on one thread while others idle. A discrete job runs in a
-  // one-lane soa_bank from its worker's cache of banks by (batteries,
-  // steps) — the simulator resets the lane — so a worker builds each bank
-  // shape once, not once per job. Continuous jobs, empty banks and banks
-  // that fail to build run as run() does, which reports the error.
-  struct lane_model {
-    explicit lane_model(const scenario& scn)
+  // other on one thread while others idle. A discrete job runs on a bank
+  // from its worker's cache of banks by (batteries, steps), so a worker
+  // builds each bank shape once, not once per job. Continuous jobs, empty
+  // banks and banks that fail to build run as run() does, which reports
+  // the error.
+  struct cached_bank {
+    explicit cached_bank(const scenario& scn)
         : key(&scn), bank(scn.batteries, scn.steps) {}
     const scenario* key;  // a job with this (batteries, steps)
     kibam::bank bank;
-    kibam::soa_bank soa{bank, 1};
   };
   constexpr std::size_t max_cached_banks = 8;  // bounds memory per worker
 
   std::atomic<std::size_t> next{0};
   const auto worker = [&]() noexcept {
-    std::vector<std::unique_ptr<lane_model>> cache;
-    const auto lane_for = [&](const scenario& scn) -> kibam::soa_bank* {
+    std::vector<std::unique_ptr<cached_bank>> cache;
+    const auto bank_for = [&](const scenario& scn) -> const kibam::bank* {
       if (scn.model != fidelity::discrete || scn.batteries.empty()) {
         return nullptr;
       }
       const auto hit = std::find_if(cache.begin(), cache.end(), [&](auto& m) {
         return m->key->batteries == scn.batteries && m->key->steps == scn.steps;
       });
-      if (hit != cache.end()) return &(*hit)->soa;
+      if (hit != cache.end()) return &(*hit)->bank;
       try {
         if (cache.size() == max_cached_banks) cache.erase(cache.begin());
-        cache.push_back(std::make_unique<lane_model>(scn));
+        cache.push_back(std::make_unique<cached_bank>(scn));
       } catch (...) {
         return nullptr;  // run() reproduces the build error
       }
       BSCHED_COUNTER_ADD("engine.bank_builds_total", 1);
-      return &cache.back()->soa;
+      return &cache.back()->bank;
     };
     for (std::size_t j = next.fetch_add(1); j < jobs.size();
          j = next.fetch_add(1)) {
       try {
         BSCHED_TRACE_SPAN(job_span, "engine.job", sweep_parent);
-        results[j] = run_in(jobs[j], lane_for(jobs[j]));
+        results[j] = run_in(jobs[j], bank_for(jobs[j]));
       } catch (const std::exception& e) {
         results[j] = run_result{};
         results[j].error = e.what();

@@ -95,12 +95,11 @@ class engine {
   [[nodiscard]] std::vector<std::string> policy_names() const;
 
  private:
-  /// run(), but a discrete run steps lane 0 of `lane` — a caller-owned
-  /// soa_bank over a bank built from scn's (batteries, steps) — instead
-  /// of building its own (null: as run()). run_sweep's workers reuse one
-  /// bank per shape this way.
+  /// run(), but a discrete run steps `bank` — a caller-owned bank built
+  /// from scn's (batteries, steps) — instead of building its own (null:
+  /// as run()). run_sweep's workers reuse one bank per shape this way.
   [[nodiscard]] run_result run_in(const scenario& scn,
-                                  kibam::soa_bank* lane) const;
+                                  const kibam::bank* bank) const;
 
   engine_options opts_;
 };

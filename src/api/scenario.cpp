@@ -34,7 +34,7 @@ load_spec load_spec::parse(const std::string& text) {
     r.seed = s.get_u64("seed", r.seed);
     return load_spec{r};
   }
-  throw error("load_spec: unknown load '" + text +
+  throw error("load_spec: unknown load '" + clip(text) +
               "' (expected a paper test-load name, 'random:...' or "
               "'markov:...')");
 }

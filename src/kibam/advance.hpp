@@ -1,4 +1,5 @@
-// Event-horizon stepping core, shared by every dKiBaM kernel.
+// Event-horizon stepping core behind kibam::advance_until and
+// bank::advance_all.
 //
 // From any discrete state the next *interesting* tick is predictable: a
 // recovery fire lands `recovery_steps(m) - recovery_elapsed` steps ahead,
@@ -6,17 +7,14 @@
 // two recovery fires the height difference only grows draw by draw — so
 // within such a window both the first recovery fire (the table is
 // monotone in m) and the death draw (each draw costs exactly 1000 * units
-// permille of available charge) can be located in closed form. The
-// template below exploits this to advance whole inter-event gaps in O(1)
-// per event instead of O(1) per tick, bit-identical to step():
+// permille of available charge) can be located in closed form.
+// advance_state below exploits this to advance whole inter-event gaps in
+// O(1) per event instead of O(1) per tick, bit-identical to step():
 //   * per-tick order is preserved — at a tied tick the recovery fire is
 //     applied before the draw, exactly like the two automata of Fig. 5;
 //   * counters at every return point equal the per-tick counters after
-//     the same number of steps (differential-tested in tests/test_soa.cpp
-//     and tests/test_discrete.cpp).
-//
-// `State` is anything with discrete_state's five members (the struct
-// itself, or kibam::soa_bank's reference proxy over its parallel arrays).
+//     the same number of steps (differential-tested against step() and
+//     bank::step_all in tests/test_discrete.cpp).
 #pragma once
 
 #include <algorithm>
@@ -48,13 +46,13 @@ inline void advance_rest(const discretization& d, std::int64_t& m,
   recovery_elapsed = 0;  // step() zeroes the timer every tick while m < 2
 }
 
-/// The event-horizon advance behind kibam::advance_until, bank::advance_all
-/// and soa_bank::advance_lane. Consumes up to `max_steps` steps, returning
-/// early only at the death draw; see the header comment for the invariant.
-template <class State>
-advance_result advance_state(const discretization& d, State&& s,
-                             const load::draw_rate& rate,
-                             std::int64_t max_steps) {
+/// The event-horizon advance behind kibam::advance_until and
+/// bank::advance_all. Consumes up to `max_steps` steps, returning early
+/// only at the death draw; see the header comment for the invariant.
+inline advance_result advance_state(const discretization& d,
+                                    discrete_state& s,
+                                    const load::draw_rate& rate,
+                                    std::int64_t max_steps) {
   BSCHED_ASSERT(max_steps > 0);
   if (rate.steps <= 0 || s.empty) {
     advance_rest(d, s.m, s.recovery_elapsed, max_steps);

@@ -59,14 +59,6 @@ class discretization {
     return recovery_[static_cast<std::size_t>(m)];
   }
 
-  /// Raw recovery table base pointer (index m, valid from m = 2, size
-  /// 2 N + 2): batched kernels cache it per battery so a vectorized lane
-  /// sweep indexes the table directly instead of calling through the
-  /// accessor per element.
-  [[nodiscard]] const std::int64_t* recovery_table() const noexcept {
-    return recovery_.data();
-  }
-
   /// Empty criterion (eq. (8)): (1000 - c) m >= c n.
   [[nodiscard]] bool is_empty(std::int64_t n, std::int64_t m) const noexcept {
     return (1000 - c_pm_) * m >= c_pm_ * n;

@@ -55,16 +55,6 @@ class scratch_pool {
     return lease{*this, std::move(v)};
   }
 
-  /// A pooled empty vector (capacity recycled) for callers that fill it
-  /// themselves — e.g. snapshotting a soa_bank lane without a temporary.
-  [[nodiscard]] lease empty() {
-    if (free_.empty()) return lease{*this, {}};
-    std::vector<discrete_state> v = std::move(free_.back());
-    free_.pop_back();
-    v.clear();
-    return lease{*this, std::move(v)};
-  }
-
  private:
   std::vector<std::vector<discrete_state>> free_;
 };

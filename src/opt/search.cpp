@@ -9,13 +9,15 @@
 #include <exception>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <utility>
 
 #include "kibam/scratch.hpp"
 #include "obs/obs.hpp"
-#include "opt/lookahead.hpp"
 #include "opt/memo.hpp"
+#include "opt/policies.hpp"
+#include "sched/simulator.hpp"
 #include "util/error.hpp"
 #include "util/task_pool.hpp"
 
@@ -637,13 +639,14 @@ class searcher {
       std::uint64_t incumbent = 0;
       for (std::uint64_t h = 1;; h *= 2) {
         const std::uint64_t horizon = std::min(h, opts_.warm_start);
-        const lookahead_result la =
-            lookahead_schedule(cx_.bank, cx_.load, horizon);
-        eval.stats.rollouts += la.stats.rollouts;
+        const std::unique_ptr<sched::policy> la = lookahead_policy(horizon);
+        const double lifetime_min =
+            sched::simulate_discrete(cx_.bank, cx_.load, *la).lifetime_min;
+        eval.stats.rollouts += la->stats().rollouts;
         incumbent = std::max(
             incumbent,
             static_cast<std::uint64_t>(std::llround(
-                la.lifetime_min / cx_.bank.steps().time_step_min)));
+                lifetime_min / cx_.bank.steps().time_step_min)));
         if (horizon == opts_.warm_start) break;
       }
       eval.stats.incumbent_from_lookahead = incumbent;

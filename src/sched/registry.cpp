@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "util/error.hpp"
+#include "util/text.hpp"
 
 namespace bsched::sched {
 
@@ -20,7 +21,7 @@ std::vector<std::size_t> parse_decisions(const std::string& text) {
         std::from_chars(text.data() + pos, text.data() + dash, value);
     require(ec == std::errc{} && ptr == text.data() + dash && dash > pos,
             "fixed: decisions must be '-'-separated battery indices, got '" +
-                text + "'");
+                clip(text) + "'");
     out.push_back(value);
     pos = dash + 1;
   }
@@ -49,7 +50,7 @@ std::unique_ptr<policy> registry::make(const spec& s) const {
       if (!known.empty()) known += ", ";
       known += name;
     }
-    throw error("registry: unknown policy '" + s.name + "' (known: " +
+    throw error("registry: unknown policy '" + clip(s.name) + "' (known: " +
                 known + ")");
   }
   return it->second(s);

@@ -100,40 +100,30 @@ sim_result run_simulation(Model& model, const load::trace& load, policy& pol,
 /// (and its precomputed recovery table) through the kibam::bank — the same
 /// representation the exact search and the rollout scheduler advance.
 ///
-/// Per-battery state lives in one lane of a kibam::soa_bank: a standalone
-/// run owns a private one-lane soa_bank, while engine::run_sweep lends
-/// each job a cached bank and soa_bank of its worker
-/// (simulate_discrete_lane below). Time advances through the event-horizon
-/// kernel unless a trace is recorded — recording samples every tick, so it
-/// keeps the per-tick reference path; both are bit-identical per step.
+/// The model borrows the bank (engine::run_sweep lends each job one from
+/// its worker's cache) and keeps one discrete_state per battery. Time
+/// advances through bank::advance_all unless a trace is recorded —
+/// recording samples every tick, so it keeps the per-tick reference path
+/// bank::step_all; both are bit-identical per step.
 class discrete_model : public model_view {
  public:
   static constexpr const char* kName = "simulate_discrete";
 
-  discrete_model(kibam::bank bank, const sim_options& opts)
-      : owned_bank_(std::move(bank)), opts_(opts) {
-    owned_soa_.emplace(*owned_bank_, 1);
-    bank_ = &*owned_bank_;
-    soa_ = &*owned_soa_;
-    lane_ = 0;
-    init();
-  }
-
-  discrete_model(const kibam::bank& bank, kibam::soa_bank& soa,
-                 std::size_t lane, const sim_options& opts)
-      : bank_(&bank), soa_(&soa), lane_(lane), opts_(opts) {
-    BSCHED_ASSERT(&soa.source() == &bank);
-    BSCHED_ASSERT(lane < soa.lanes());
-    soa_->reset_lane(lane_);
-    init();
-  }
+  discrete_model(const kibam::bank& bank, const sim_options& opts)
+      : bank_(bank),
+        states_(bank.full_states()),
+        opts_(opts),
+        t_step_(bank.steps().time_step_min),
+        unit_(bank.steps().charge_unit_amin),
+        sample_period_(std::max<std::int64_t>(
+            1, std::llround(opts.sample_min / t_step_))) {}
 
   void attach(sim_result& res, const load::trace& load) {
     res_ = &res;
     load_ = &load;
   }
 
-  [[nodiscard]] model_info info() const { return {bank_, load_}; }
+  [[nodiscard]] model_info info() const { return {&bank_, load_}; }
 
   [[nodiscard]] double now() const {
     return static_cast<double>(step_count_) * t_step_;
@@ -141,15 +131,14 @@ class discrete_model : public model_view {
 
   [[nodiscard]] std::vector<battery_view> views() const {
     std::vector<battery_view> out;
-    out.reserve(soa_->batteries());
-    for (std::size_t i = 0; i < soa_->batteries(); ++i) {
-      const std::int64_t n = soa_->n(lane_, i);
-      const std::int64_t m = soa_->m(lane_, i);
+    out.reserve(states_.size());
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      const kibam::discrete_state& s = states_[i];
       out.push_back(
-          {i, static_cast<double>(n) * unit_,
-           static_cast<double>(disc_of(i).available_permille(n, m)) * unit_ /
-               1000.0,
-           soa_->empty(lane_, i)});
+          {i, static_cast<double>(s.n) * unit_,
+           static_cast<double>(disc_of(i).available_permille(s.n, s.m)) *
+               unit_ / 1000.0,
+           s.empty});
     }
     return out;
   }
@@ -160,26 +149,26 @@ class discrete_model : public model_view {
     const auto steps = epoch_steps(e);
     if (!opts_.record_trace) {
       if (steps > 0) {
-        soa_->advance_lane(lane_, kibam::bank::idle, {0, 0}, steps);
+        bank_.advance_all(states_, kibam::bank::idle, {0, 0}, steps);
         step_count_ += steps;
       }
       return;
     }
     for (std::int64_t i = 0; i < steps; ++i) {
       ++step_count_;
-      soa_->step_lane(lane_, kibam::bank::idle, {0, 0});
+      bank_.step_all(states_);
       record(-1);
     }
   }
 
   void begin_epoch(const load::epoch& e, std::size_t index) {
-    rate_ = load::rate_for(e.current_a, bank_->steps());
+    rate_ = load::rate_for(e.current_a, bank_.steps());
     remaining_ = epoch_steps(e);
     epoch_index_ = index;
   }
 
   void begin_service(std::size_t active) {
-    soa_->reset_discharge(lane_, active);  // go_on resets c_disch
+    states_[active].discharge_elapsed = 0;  // go_on resets c_disch
     if (pending_record_) {
       // The sample of the death step, attributed to the hand-over target
       // the policy just picked.
@@ -192,11 +181,11 @@ class discrete_model : public model_view {
     if (!opts_.record_trace) {
       while (remaining_ > 0) {
         const kibam::advance_result a =
-            soa_->advance_lane(lane_, active, rate_, remaining_);
+            bank_.advance_all(states_, active, rate_, remaining_);
         step_count_ += a.steps;
         remaining_ -= a.steps;
         if (a.event == kibam::step_event::died) {
-          if (soa_->lane_all_empty(lane_)) return serve_event::system_dead;
+          if (all_empty()) return serve_event::system_dead;
           return serve_event::handover;
         }
       }
@@ -205,9 +194,9 @@ class discrete_model : public model_view {
     while (remaining_ > 0) {
       --remaining_;
       ++step_count_;
-      const kibam::step_event ev = soa_->step_lane(lane_, active, rate_);
+      const kibam::step_event ev = bank_.step_all(states_, active, rate_);
       if (ev == kibam::step_event::died) {
-        if (soa_->lane_all_empty(lane_)) return serve_event::system_dead;
+        if (all_empty()) return serve_event::system_dead;
         pending_record_ = true;
         return serve_event::handover;
       }
@@ -219,8 +208,8 @@ class discrete_model : public model_view {
   void finish(std::size_t last_active) {
     res_->lifetime_min = now();
     double residual = 0;
-    for (std::size_t b = 0; b < soa_->batteries(); ++b) {
-      residual += static_cast<double>(soa_->n(lane_, b)) * unit_;
+    for (const kibam::discrete_state& s : states_) {
+      residual += static_cast<double>(s.n) * unit_;
     }
     res_->residual_amin = residual;
     record(static_cast<int>(last_active));
@@ -228,22 +217,22 @@ class discrete_model : public model_view {
 
   // --- model_view: decision-time rollouts on a scratch state copy. ---
   //
-  // Bit-compatible with the precomputed opt::lookahead_schedule of PR 2/3:
-  // the same integer stepping (bank::step_all), the same greedy
-  // most-available hand-over rule, the same job accounting — so the
-  // online "lookahead" policy reproduces the old decision vectors exactly
-  // on the Table 5 workloads (regression-tested in tests/test_lookahead).
+  // Bit-compatible with the earlier precomputed lookahead replay: the same
+  // integer stepping (bank::advance_all is bit-identical to step_all),
+  // the same greedy most-available hand-over rule, the same job
+  // accounting — so the online "lookahead" policy reproduces the recorded
+  // decision vectors exactly on the Table 5 workloads (regression-tested
+  // in tests/test_lookahead.cpp).
 
   [[nodiscard]] rollout_outcome rollout(
       std::size_t candidate, std::size_t horizon_jobs) const override {
     BSCHED_ASSERT(load_ != nullptr && remaining_ >= 0);
-    // Pooled bank snapshot (a lookahead policy rolls out at every decision
-    // point — leasing from scratch_ makes the steady state allocation
-    // free); rollouts never record, so they always run on the
+    // Pooled state snapshot (a lookahead policy rolls out at every
+    // decision point — leasing from scratch_ makes the steady state
+    // allocation free); rollouts never record, so they always run on the
     // event-horizon kernel.
-    kibam::scratch_pool::lease snapshot = scratch_.empty();
+    kibam::scratch_pool::lease snapshot = scratch_.copy_of(states_);
     std::vector<kibam::discrete_state>& bats = *snapshot;
-    soa_->copy_lane_states(lane_, bats);
     std::int64_t steps = 0;
     // The remainder of the current epoch, then `horizon_jobs` more jobs
     // served greedily; idle epochs pass in between.
@@ -256,7 +245,7 @@ class discrete_model : public model_view {
       if (e.current_a <= 0) {
         const std::int64_t len = epoch_steps(e);
         if (len > 0) {
-          bank_->advance_all(bats, kibam::bank::idle, {0, 0}, len);
+          bank_.advance_all(bats, kibam::bank::idle, {0, 0}, len);
         }
         steps += len;
         ++epoch;
@@ -264,7 +253,7 @@ class discrete_model : public model_view {
       }
       const auto choice = greedy_permille(bats);
       BSCHED_ASSERT(choice.has_value());
-      const load::draw_rate rate = load::rate_for(e.current_a, bank_->steps());
+      const load::draw_rate rate = load::rate_for(e.current_a, bank_.steps());
       if (!serve_rollout_job(bats, *choice, rate, epoch_steps(e), steps)) {
         return {to_minutes(steps), true, 0};
       }
@@ -289,23 +278,21 @@ class discrete_model : public model_view {
     // tick can flip which twin survives longer); the discharge clock is
     // reset on activation, so it is excluded — the same notion of
     // interchangeability as the exact search's memo key.
-    return bank_->type_of(a) == bank_->type_of(b) &&
-           soa_->n(lane_, a) == soa_->n(lane_, b) &&
-           soa_->m(lane_, a) == soa_->m(lane_, b) &&
-           soa_->recovery_elapsed(lane_, a) == soa_->recovery_elapsed(lane_, b) &&
-           soa_->empty(lane_, a) == soa_->empty(lane_, b);
+    const kibam::discrete_state& sa = states_[a];
+    const kibam::discrete_state& sb = states_[b];
+    return bank_.type_of(a) == bank_.type_of(b) && sa.n == sb.n &&
+           sa.m == sb.m && sa.recovery_elapsed == sb.recovery_elapsed &&
+           sa.empty == sb.empty;
   }
 
  private:
-  void init() {
-    t_step_ = bank_->steps().time_step_min;
-    unit_ = bank_->steps().charge_unit_amin;
-    sample_period_ =
-        std::max<std::int64_t>(1, std::llround(opts_.sample_min / t_step_));
+  [[nodiscard]] const kibam::discretization& disc_of(std::size_t b) const {
+    return bank_.disc(b);
   }
 
-  [[nodiscard]] const kibam::discretization& disc_of(std::size_t b) const {
-    return bank_->disc(b);
+  [[nodiscard]] bool all_empty() const {
+    return std::ranges::all_of(
+        states_, [](const kibam::discrete_state& s) { return s.empty; });
   }
 
   [[nodiscard]] std::int64_t epoch_steps(const load::epoch& e) const {
@@ -341,7 +328,7 @@ class discrete_model : public model_view {
     bats[active].discharge_elapsed = 0;
     while (total > 0) {
       const kibam::advance_result a =
-          bank_->advance_all(bats, active, rate, total);
+          bank_.advance_all(bats, active, rate, total);
       steps += a.steps;
       total -= a.steps;
       if (a.event == kibam::step_event::died) {
@@ -356,26 +343,21 @@ class discrete_model : public model_view {
     return true;
   }
 
-  // Owned storage for the standalone entry points; the lane entry
-  // borrows both from its caller (engine::run_sweep) instead.
-  std::optional<kibam::bank> owned_bank_;
-  std::optional<kibam::soa_bank> owned_soa_;
-  const kibam::bank* bank_ = nullptr;
-  kibam::soa_bank* soa_ = nullptr;
-  std::size_t lane_ = 0;
+  const kibam::bank& bank_;
+  std::vector<kibam::discrete_state> states_;  ///< One per battery.
   sim_options opts_;
   sim_result* res_ = nullptr;
   const load::trace* load_ = nullptr;
-  double t_step_ = 0;
-  double unit_ = 0;
-  std::int64_t sample_period_ = 1;
+  double t_step_;
+  double unit_;
+  std::int64_t sample_period_;
   std::int64_t step_count_ = 0;
   std::int64_t remaining_ = 0;
   std::size_t epoch_index_ = 0;
   load::draw_rate rate_{0, 0};
   bool pending_record_ = false;
   /// Rollout scratch states (mutable: rollout() is logically const — it
-  /// only ever steps pooled copies, never the lane itself).
+  /// only ever steps pooled copies, never states_ itself).
   mutable kibam::scratch_pool scratch_;
 
   void record(int active) {
@@ -383,11 +365,10 @@ class discrete_model : public model_view {
     trace_point pt;
     pt.time_min = now();
     pt.active = active;
-    for (std::size_t b = 0; b < soa_->batteries(); ++b) {
-      const std::int64_t n = soa_->n(lane_, b);
-      const std::int64_t m = soa_->m(lane_, b);
-      pt.total_amin.push_back(static_cast<double>(n) * unit_);
-      const kibam::state cont = disc_of(b).to_continuous(n, m);
+    for (std::size_t b = 0; b < states_.size(); ++b) {
+      const kibam::discrete_state& s = states_[b];
+      pt.total_amin.push_back(static_cast<double>(s.n) * unit_);
+      const kibam::state cont = disc_of(b).to_continuous(s.n, s.m);
       pt.available_amin.push_back(
           kibam::available_charge(disc_of(b).params(), cont));
     }
@@ -620,8 +601,7 @@ sim_result simulate_discrete(
     const std::vector<kibam::battery_parameters>& batteries,
     const load::trace& load, policy& pol, const sim_options& opts,
     const load::step_sizes& steps) {
-  discrete_model model{kibam::bank{batteries, steps}, opts};
-  return run_simulation(model, load, pol, opts);
+  return simulate_discrete(kibam::bank{batteries, steps}, load, pol, opts);
 }
 
 sim_result simulate_discrete(const kibam::bank& bank, const load::trace& load,
@@ -630,20 +610,11 @@ sim_result simulate_discrete(const kibam::bank& bank, const load::trace& load,
   return run_simulation(model, load, pol, opts);
 }
 
-sim_result simulate_discrete_lane(const kibam::bank& bank,
-                                  kibam::soa_bank& soa, std::size_t lane,
-                                  const load::trace& load, policy& pol,
-                                  const sim_options& opts) {
-  discrete_model model{bank, soa, lane, opts};
-  return run_simulation(model, load, pol, opts);
-}
-
 sim_result simulate_discrete(const kibam::discretization& disc,
                              std::size_t battery_count,
                              const load::trace& load, policy& pol,
                              const sim_options& opts) {
-  discrete_model model{kibam::bank{disc, battery_count}, opts};
-  return run_simulation(model, load, pol, opts);
+  return simulate_discrete(kibam::bank{disc, battery_count}, load, pol, opts);
 }
 
 sim_result simulate_continuous(

@@ -24,7 +24,6 @@
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "kibam/kibam.hpp"
-#include "kibam/soa.hpp"
 #include "load/discretize.hpp"
 #include "load/trace.hpp"
 #include "sched/policy.hpp"
@@ -81,22 +80,13 @@ struct sim_result {
 
 /// Discrete simulation of an already-built kibam::bank — the same bank
 /// object the exact search and the rollout scheduler advance, so search
-/// and replay are guaranteed to step identical per-battery state.
+/// and replay are guaranteed to step identical per-battery state. The
+/// bank is borrowed, not copied: engine::run_sweep reuses one per bank
+/// shape across a worker's jobs; the run keeps its own state vector.
 [[nodiscard]] sim_result simulate_discrete(const kibam::bank& bank,
                                            const load::trace& load,
                                            policy& pol,
                                            const sim_options& opts = {});
-
-/// Discrete simulation running its state in lane `lane` of a caller-owned
-/// kibam::soa_bank (reset to full at run start), so engine::run_sweep
-/// can reuse one bank across jobs. Bit-identical to
-/// simulate_discrete(bank, ...); `soa` must wrap `bank`.
-[[nodiscard]] sim_result simulate_discrete_lane(const kibam::bank& bank,
-                                                kibam::soa_bank& soa,
-                                                std::size_t lane,
-                                                const load::trace& load,
-                                                policy& pol,
-                                                const sim_options& opts = {});
 
 /// Discrete simulation of `battery_count` identical batteries (the paper's
 /// Tables 3-5 setup).

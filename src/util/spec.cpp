@@ -1,38 +1,34 @@
 #include "util/spec.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "util/error.hpp"
+#include "util/text.hpp"
 
 namespace bsched {
 
 namespace {
 
-template <class T>
-T parse_number(const spec& s, const std::string& key, T fallback) {
-  const auto it = s.params.find(key);
-  if (it == s.params.end()) return fallback;
-  const std::string& v = it->second;
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(v.data(), v.data() + v.size(), value);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) {
-    throw error("spec '" + s.name + "': parameter " + key + "=" + v +
-                " is not a valid number");
-  }
-  return value;
+/// The `what` of a parameter's parse error: names the spec and the key,
+/// both clipped (a spec can arrive over the sweep wire format).
+std::string parameter_what(const spec& s, const std::string& key) {
+  return "spec '" + clip(s.name) + "': parameter " + clip(key);
 }
 
 }  // namespace
 
 std::uint64_t spec::get_u64(const std::string& key,
                             std::uint64_t fallback) const {
-  return parse_number<std::uint64_t>(*this, key, fallback);
+  const auto it = params.find(key);
+  return it == params.end() ? fallback
+                            : parse_u64(it->second, parameter_what(*this, key));
 }
 
 double spec::get_double(const std::string& key, double fallback) const {
-  return parse_number<double>(*this, key, fallback);
+  const auto it = params.find(key);
+  return it == params.end()
+             ? fallback
+             : parse_double(it->second, parameter_what(*this, key));
 }
 
 std::string spec::get_string(const std::string& key,
@@ -50,9 +46,9 @@ void spec::require_only(std::initializer_list<const char*> allowed) const {
     // Name the offending key *and* the accepted set, so a typo like
     // "opt:max_nodez=1" tells the user what was meant to be written.
     std::string msg = "spec '";
-    msg += name;
+    msg += clip(name);
     msg += "': unknown parameter '";
-    msg += key;
+    msg += clip(key);
     msg += '\'';
     if (allowed.size() == 0) {
       msg += " (accepts no parameters)";
@@ -87,7 +83,9 @@ spec parse_spec(const std::string& text) {
   spec out;
   const std::size_t colon = text.find(':');
   out.name = text.substr(0, colon);
-  if (out.name.empty()) throw error("spec: empty name in '" + text + "'");
+  if (out.name.empty()) {
+    throw error("spec: empty name in '" + clip(text) + "'");
+  }
   if (colon == std::string::npos) return out;
 
   std::size_t pos = colon + 1;
@@ -96,13 +94,13 @@ spec parse_spec(const std::string& text) {
     const std::string item = text.substr(pos, comma - pos);
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos || eq == 0) {
-      throw error("spec '" + out.name + "': expected key=value, got '" +
-                  item + "'");
+      throw error("spec '" + clip(out.name) + "': expected key=value, got '" +
+                  clip(item) + "'");
     }
     const std::string key = item.substr(0, eq);
     if (out.params.contains(key)) {
-      throw error("spec '" + out.name + "': duplicate parameter '" + key +
-                  "'");
+      throw error("spec '" + clip(out.name) + "': duplicate parameter '" +
+                  clip(key) + "'");
     }
     out.params.emplace(key, item.substr(eq + 1));
     pos = comma + 1;

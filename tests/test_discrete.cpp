@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
+#include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
 #include "util/error.hpp"
@@ -168,6 +171,85 @@ TEST(AdvanceUntil, IdleAdvanceMatchesPerTickRecovery) {
   for (std::int64_t i = 0; i < steps; ++i) step(d, ref, {0, 0});
   EXPECT_EQ(fast, ref);
   EXPECT_LT(fast.m, 45);  // recovery actually ran
+}
+
+// --- bank::advance_all vs the per-tick bank::step_all. ---
+
+/// Random alternation of jobs (random active battery, random rate), idle
+/// phases and go_on discharge-clock resets — the protocol shapes the
+/// simulator drives the bank with.
+struct segment {
+  std::size_t active;  // bank::idle for a rest phase
+  load::draw_rate rate;
+  std::int64_t steps;
+  bool reset_clock;
+};
+
+std::vector<segment> random_plan(std::mt19937_64& rng, std::size_t batteries,
+                                 std::size_t count) {
+  std::uniform_int_distribution<int> units{1, 3};
+  std::uniform_int_distribution<int> period{1, 7};
+  std::uniform_int_distribution<std::int64_t> len{1, 700};
+  std::uniform_int_distribution<std::size_t> pick{0, batteries - 1};
+  std::uniform_int_distribution<int> kind{0, 4};
+  std::vector<segment> plan;
+  plan.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const bool idle = kind(rng) == 0;
+    plan.push_back({idle ? bank::idle : pick(rng),
+                    idle ? load::draw_rate{0, 0}
+                         : load::draw_rate{units(rng), period(rng)},
+                    len(rng), kind(rng) == 1});
+  }
+  return plan;
+}
+
+TEST(BankAdvanceAll, BitIdenticalToStepAll) {
+  // A small mixed bank, and a wide one (16 batteries, B1/B2 mix) whose
+  // resting batteries sit in every recovery regime at once: armed
+  // (m >= 2), disarmed (m < 2) and dead.
+  std::vector<battery_parameters> wide;
+  for (int i = 0; i < 16; ++i) {
+    wide.push_back(i % 3 == 0 ? battery_b2() : battery_b1());
+  }
+  const bank banks[] = {bank{{battery_b1(), battery_b2(), battery_b1()}},
+                        bank{wide}};
+  for (const bank& bk : banks) {
+    std::mt19937_64 rng{1};
+    std::size_t deaths = 0;
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<discrete_state> fast = bk.full_states();
+      std::vector<discrete_state> ref = bk.full_states();
+      for (const segment& seg : random_plan(rng, bk.size(), 60)) {
+        const bool active_usable =
+            seg.active == bank::idle || !ref[seg.active].empty;
+        if (!active_usable) continue;
+        if (seg.reset_clock && seg.active != bank::idle) {
+          fast[seg.active].discharge_elapsed = 0;
+          ref[seg.active].discharge_elapsed = 0;
+        }
+        const advance_result a =
+            bk.advance_all(fast, seg.active, seg.rate, seg.steps);
+        ASSERT_GE(a.steps, 1);
+        ASSERT_LE(a.steps, seg.steps);
+        for (std::int64_t i = 1; i <= a.steps; ++i) {
+          const step_event ev = bk.step_all(ref, seg.active, seg.rate);
+          if (ev == step_event::died) {
+            ASSERT_EQ(i, a.steps) << "per-tick death before advance return";
+            ASSERT_EQ(a.event, step_event::died);
+            ++deaths;
+          }
+        }
+        if (a.event != step_event::died) {
+          ASSERT_EQ(a.steps, seg.steps);
+        }
+        ASSERT_EQ(fast, ref) << bk.size() << " batteries, trial " << trial;
+      }
+    }
+    // The drive must cross the interesting regime: batteries die (and
+    // keep recovering) while others are still serving.
+    EXPECT_GT(deaths, 0u) << bk.size() << " batteries";
+  }
 }
 
 TEST(DiscreteLifetime, MatchesPerTickReference) {

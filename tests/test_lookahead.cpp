@@ -8,7 +8,7 @@
 #include "api/scenario.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
-#include "opt/lookahead.hpp"
+#include "lookahead_fixture.hpp"
 #include "opt/policies.hpp"
 #include "opt/search.hpp"
 #include "sched/policy.hpp"
@@ -17,6 +17,9 @@
 
 namespace bsched::opt {
 namespace {
+
+using testutil::lookahead_run;
+using testutil::run_lookahead;
 
 kibam::discretization disc_b1() {
   return kibam::discretization{kibam::battery_b1()};
@@ -36,7 +39,8 @@ TEST(Lookahead, NeverBeatsTheOptimum) {
     const load::trace t = load::paper_trace(l);
     const double best = optimal_schedule(d, 2, t).lifetime_min;
     for (const std::size_t horizon : {0u, 2u, 4u}) {
-      const double la = lookahead_schedule(d, 2, t, horizon).lifetime_min;
+      const double la =
+          run_lookahead(kibam::bank{d, 2}, t, horizon).lifetime_min;
       EXPECT_LE(la, best + 1e-9)
           << load::name(l) << " horizon " << horizon;
     }
@@ -54,7 +58,8 @@ TEST(Lookahead, BoundedByWorstAndOptimal) {
     const double worst = worst_schedule(d, 2, t).lifetime_min;
     const double best = optimal_schedule(d, 2, t).lifetime_min;
     for (const std::size_t horizon : {0u, 1u, 3u}) {
-      const double la = lookahead_schedule(d, 2, t, horizon).lifetime_min;
+      const double la =
+          run_lookahead(kibam::bank{d, 2}, t, horizon).lifetime_min;
       EXPECT_GE(la, worst - 1e-9) << load::name(l) << " h=" << horizon;
       EXPECT_LE(la, best + 1e-9) << load::name(l) << " h=" << horizon;
     }
@@ -69,7 +74,7 @@ TEST(Lookahead, ClosesTheGapOnIlsR1) {
   const auto b2 = sched::best_of_n();
   const double greedy = sched::simulate_discrete(d, 2, t, *b2).lifetime_min;
   const double opt = optimal_schedule(d, 2, t).lifetime_min;
-  const double la4 = lookahead_schedule(d, 2, t, 4).lifetime_min;
+  const double la4 = run_lookahead(kibam::bank{d, 2}, t, 4).lifetime_min;
   EXPECT_GT(la4, greedy + 0.5 * (opt - greedy))
       << "horizon 4 should recover at least half the optimality gap";
 }
@@ -81,8 +86,8 @@ TEST(Lookahead, LongerHorizonHelpsOnAverage) {
   double total_short = 0, total_long = 0;
   for (const load::test_load l : load::all_test_loads()) {
     const load::trace t = load::paper_trace(l);
-    total_short += lookahead_schedule(d, 2, t, 0).lifetime_min;
-    total_long += lookahead_schedule(d, 2, t, 4).lifetime_min;
+    total_short += run_lookahead(kibam::bank{d, 2}, t, 0).lifetime_min;
+    total_long += run_lookahead(kibam::bank{d, 2}, t, 4).lifetime_min;
   }
   EXPECT_GE(total_long, total_short - 1e-9);
 }
@@ -90,7 +95,7 @@ TEST(Lookahead, LongerHorizonHelpsOnAverage) {
 TEST(Lookahead, DecisionsReplayInTheSimulator) {
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ils_alt);
-  const lookahead_result r = lookahead_schedule(d, 2, t, 2);
+  const lookahead_run r = run_lookahead(kibam::bank{d, 2}, t, 2);
   ASSERT_FALSE(r.decisions.empty());
   // The job-start decisions replayed through the simulator reproduce the
   // lifetime (hand-overs inside jobs use the same greedy rule in both).
@@ -106,22 +111,22 @@ TEST(Lookahead, RolloutCountBoundedByDecisions) {
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ils_500);
   for (const std::size_t horizon : {0u, 8u}) {
-    const auto r = lookahead_schedule(d, 2, t, horizon);
-    EXPECT_GT(r.stats.rollouts, 0u);
-    EXPECT_LE(r.stats.rollouts, 2 * r.decisions.size());
+    const auto r = run_lookahead(kibam::bank{d, 2}, t, horizon);
+    EXPECT_GT(r.rollouts, 0u);
+    EXPECT_LE(r.rollouts, 2 * r.decisions.size());
   }
 }
 
 TEST(Lookahead, SingleBatteryMatchesPlainLifetime) {
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ill_500);
-  const double la = lookahead_schedule(d, 1, t, 3).lifetime_min;
+  const double la = run_lookahead(kibam::bank{d, 1}, t, 3).lifetime_min;
   EXPECT_NEAR(la, kibam::discrete_lifetime(d, t), 1e-9);
 }
 
 // --- Bit-exactness regression against the precomputed implementation. ---
 //
-// Golden values recorded from the PR 3 `opt::lookahead_schedule` (rollout
+// Golden values recorded from the earlier precomputed lookahead (rollout
 // precomputed outside the simulator, replayed through a fixed schedule)
 // on every Table 5 workload. The online policy — deciding inside the
 // simulator through the model_view — must reproduce the lifetime, the
@@ -162,12 +167,12 @@ TEST(LookaheadOnline, BitIdenticalToThePrecomputedReplay) {
   const auto d = disc_b1();
   for (const lookahead_golden& c : k_lookahead_golden) {
     const load::trace t = load::paper_trace(c.load);
-    const lookahead_result r = lookahead_schedule(d, 2, t, c.horizon);
+    const lookahead_run r = run_lookahead(kibam::bank{d, 2}, t, c.horizon);
     EXPECT_NEAR(r.lifetime_min, c.lifetime, 1e-9)
         << load::name(c.load) << " h=" << c.horizon;
     EXPECT_EQ(decision_digits(r.decisions), c.decisions)
         << load::name(c.load) << " h=" << c.horizon;
-    EXPECT_EQ(r.stats.rollouts, c.rollouts)
+    EXPECT_EQ(r.rollouts, c.rollouts)
         << load::name(c.load) << " h=" << c.horizon;
   }
 }

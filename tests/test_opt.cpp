@@ -8,7 +8,7 @@
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
-#include "opt/lookahead.hpp"
+#include "lookahead_fixture.hpp"
 #include "opt/search.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
@@ -301,7 +301,7 @@ TEST(Heterogeneous, SearchBoundsEveryPolicyOnSeededRandomBanks) {
       const auto bo = sched::best_of_n();
       check(sched::simulate_discrete(bank, t, *bo).lifetime_min,
             "best_of_n");
-      check(lookahead_schedule(bank, t, 2).lifetime_min, "lookahead");
+      check(testutil::run_lookahead(bank, t, 2).lifetime_min, "lookahead");
     }
   }
 }

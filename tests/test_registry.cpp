@@ -2,6 +2,7 @@
 // parameter handling, and error reporting.
 #include <gtest/gtest.h>
 
+#include "api/scenario.hpp"
 #include "opt/policies.hpp"
 #include "sched/registry.hpp"
 #include "util/error.hpp"
@@ -122,7 +123,49 @@ TEST(Registry, UnknownParameterNamesTheAcceptedSet) {
 
   // Malformed values still name the key and value.
   const std::string value_msg = message_of(model, "opt:max_nodes=soon");
-  EXPECT_NE(value_msg.find("max_nodes=soon"), std::string::npos) << value_msg;
+  EXPECT_NE(value_msg.find("parameter max_nodes"), std::string::npos)
+      << value_msg;
+  EXPECT_NE(value_msg.find("'soon'"), std::string::npos) << value_msg;
+}
+
+TEST(Registry, HugeSpecInputsGiveBoundedErrors) {
+  // Policy and load specs arrive over the sweep wire format, so a hostile
+  // value or item must not come back whole inside the error message.
+  const std::string huge(100'000, '7');
+  const auto message_of = [](const auto& parse) {
+    try {
+      parse();
+      ADD_FAILURE() << "should have thrown";
+      return std::string{};
+    } catch (const error& e) {
+      return std::string{e.what()};
+    }
+  };
+  const registry model = opt::model_registry();
+  const std::string cases[][2] = {
+      // A 100 kB value: overflows u64, so it is not a valid number.
+      {message_of([&] { (void)model.make("opt:max_nodes=" + huge); }),
+       "parameter max_nodes"},
+      {message_of([&] { (void)parse_spec("random:p=x" + huge).get_double(
+                            "p", 0); }),
+       "parameter p"},
+      // A 100 kB item with no '=' in it.
+      {message_of([&] { (void)parse_spec("random:" + huge); }),
+       "spec 'random'"},
+      {message_of([&] { (void)model.make("lookahead:" + huge); }),
+       "spec 'lookahead'"},
+      // Unknown names and a malformed decision list, as huge.
+      {message_of([&] { (void)model.make("x" + huge); }),
+       "unknown policy"},
+      {message_of([&] { (void)api::load_spec::parse("x" + huge); }),
+       "unknown load"},
+      {message_of([&] { (void)model.make("fixed:decisions=0;" + huge); }),
+       "fixed: decisions"},
+  };
+  for (const auto& [msg, names] : cases) {
+    EXPECT_LT(msg.size(), 512u) << msg.substr(0, 600);
+    EXPECT_NE(msg.find(names), std::string::npos) << msg.substr(0, 600);
+  }
 }
 
 TEST(Registry, ModelRegistryAddsTheModelAwarePolicies) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
 
+#include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
+#include "opt/policies.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace bsched::sched {
 namespace {
@@ -163,6 +168,46 @@ TEST(SimulatorDiscrete, TraceRecordingSamplesBothBatteries) {
     EXPECT_GT(r.trace[i].time_min, r.trace[i - 1].time_min);
   }
   EXPECT_NEAR(r.trace.back().time_min, r.lifetime_min, 0.11);
+}
+
+TEST(SimulatorDiscrete, TraceRecordingDoesNotChangeTheRun) {
+  // Recording steps every tick through bank::step_all; a plain run jumps
+  // between events with bank::advance_all. Both must make the same run:
+  // same lifetime, decisions (job starts and hand-overs) and residual, on
+  // random mixed banks and under a rollout policy whose model_view
+  // snapshots the state at every decision.
+  const std::function<std::unique_ptr<policy>()> makers[] = {
+      round_robin, best_of_n, [] { return opt::lookahead_policy(2); }};
+  for (const std::uint64_t seed : {2u, 5u, 17u}) {
+    rng r{seed};
+    std::vector<kibam::battery_parameters> params;
+    const std::size_t count = 2 + r.below(3);  // 2-4 batteries
+    for (std::size_t b = 0; b < count; ++b) {
+      params.push_back(r.below(2) == 0 ? kibam::battery_b1()
+                                       : kibam::battery_b2());
+    }
+    const kibam::bank bank{params};
+    for (const load::test_load l : load::all_test_loads()) {
+      const load::trace t = load::paper_trace(l);
+      for (const auto& make : makers) {
+        const auto plain_pol = make();
+        const auto traced_pol = make();
+        sim_options traced;
+        traced.record_trace = true;
+        const sim_result plain = simulate_discrete(bank, t, *plain_pol);
+        const sim_result rec = simulate_discrete(bank, t, *traced_pol, traced);
+        ASSERT_FALSE(rec.trace.empty());
+        EXPECT_EQ(plain.lifetime_min, rec.lifetime_min)
+            << plain_pol->name() << ", seed " << seed << ", " << load::name(l);
+        EXPECT_EQ(plain.decisions, rec.decisions)
+            << plain_pol->name() << ", seed " << seed << ", " << load::name(l);
+        EXPECT_EQ(plain.residual_amin, rec.residual_amin)
+            << plain_pol->name() << ", seed " << seed << ", " << load::name(l);
+        EXPECT_EQ(plain_pol->stats(), traced_pol->stats())
+            << plain_pol->name() << ", seed " << seed << ", " << load::name(l);
+      }
+    }
+  }
 }
 
 TEST(SimulatorContinuous, MatchesAnalyticSingleBattery) {

@@ -60,10 +60,10 @@ constexpr int kIoTimeoutMs = 20000 * kTimeScale;
 // --- StressSweep: run_sweep worker pool and its per-worker bank cache ----
 
 /// A grid whose discrete cells all share (batteries, steps), so every
-/// worker of run_sweep serves them from one cached bank and one-lane
-/// kibam::soa_bank while the others pull the neighbouring jobs. One cell
-/// always fails, so the failure counter crosses the pool too.
-api::sweep soa_grid(std::size_t replications) {
+/// worker of run_sweep serves them from one cached kibam::bank while the
+/// others pull the neighbouring jobs. One cell always fails, so the
+/// failure counter crosses the pool too.
+api::sweep shared_bank_grid(std::size_t replications) {
   api::sweep sw;
   for (const char* load : {"random:count=16,p=0.35,seed=11",
                            "markov:count=16,p=0.6,seed=7"}) {
@@ -92,7 +92,7 @@ api::sweep soa_grid(std::size_t replications) {
 }
 
 TEST(StressSweep, OversubscribedPoolMatchesSingleThreadExactly) {
-  const api::sweep sw = soa_grid(24 / kLoadScale * kLoadScale);
+  const api::sweep sw = shared_bank_grid(24 / kLoadScale * kLoadScale);
   const api::engine eng;
 
   api::summarize ref{sw};
@@ -117,7 +117,7 @@ TEST(StressSweep, OversubscribedPoolMatchesSingleThreadExactly) {
 }
 
 TEST(StressSweep, DeliveryStaysInGridOrderUnderOversubscription) {
-  const api::sweep sw = soa_grid(12);
+  const api::sweep sw = shared_bank_grid(12);
   const std::size_t total = sw.cells.size() * sw.replications;
   const api::engine eng;
 
