@@ -188,7 +188,7 @@ void bm_optimal_search_warmstart(benchmark::State& state) {
 BENCHMARK(bm_optimal_search_warmstart);
 
 void bm_optimal_search_parallel(benchmark::State& state) {
-  // Subtree-parallel search on the work-stealing pool over the sharded
+  // Subtree-parallel search (util::parallel_for workers) over the sharded
   // memo, on the biggest short-load tree (ILs 250 s). Results are
   // bit-identical across thread counts; this measures the coordination
   // tax (and, on multi-core hosts, the speedup) against threads:1.

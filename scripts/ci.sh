@@ -108,14 +108,15 @@ run_tsan() {
   configure_and_build "$dir" RelWithDebInfo -DBSCHED_SANITIZE=thread
   # The stress suite is the point of this flavour — run it first and
   # standalone (fail loudly if the filter ever goes empty), then the
-  # rest of the concurrency surface: the sweep pool, the svc fleet, the
-  # net framing, and the api engine's thread-count-independence tests.
+  # rest of the concurrency surface: util::parallel_for and the parallel
+  # exact search, the sweep engine, the svc fleet, the net framing, and
+  # the api engine's thread-count-independence tests.
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ctest --test-dir "$dir" -R "Stress" --no-tests=error \
     --output-on-failure -j "$JOBS"
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
-    ctest --test-dir "$dir" -R "Svc|Sweep|Api|Dist|Net|Obs" --no-tests=error \
-    --output-on-failure -j "$JOBS"
+    ctest --test-dir "$dir" -R "Parallel|Svc|Sweep|Api|Dist|Net|Obs" \
+    --no-tests=error --output-on-failure -j "$JOBS"
 }
 
 run_lint() {

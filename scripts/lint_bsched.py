@@ -60,15 +60,15 @@ Rules (see README "Correctness tooling"):
                     layer (reading-side white-box tests).
 
   thread-discipline library code must not spawn raw threads (std::thread/
-                    std::jthread construction, std::async) outside the
-                    two budgeted layers: src/util (the work-stealing
-                    task_pool and the process thread_budget) and
-                    src/api/engine* (the sweep worker pool, which leases
-                    its width from that budget). A policy or kernel that
-                    spawned its own threads would bypass the
-                    oversubscription accounting and the determinism
-                    contract. `std::thread::hardware_concurrency()` and
-                    other static members stay fine anywhere.
+                    std::jthread construction, std::async) outside
+                    src/util/parallel.cpp, the home of util::parallel_for
+                    — the one way src/ runs work on several threads (the
+                    sweep engine and the exact search's fan-out both go
+                    through it). A policy or kernel that spawned its own
+                    threads would bypass auto_width's nesting rule and
+                    the determinism contract.
+                    `std::thread::hardware_concurrency()` and other static
+                    members stay fine anywhere.
 """
 
 import argparse
@@ -112,10 +112,7 @@ OBS_DETAIL_PATTERN = re.compile(r"\bobs\s*::\s*detail\b")
 # hardware_concurrency are not a spawn), plus std::async.
 THREAD_PATTERN = re.compile(r"std::j?thread\b(?!\s*::)|std::async\b")
 
-THREAD_ALLOW_PREFIXES = (
-    os.path.join("src", "util") + os.sep,
-    os.path.join("src", "api", "engine"),
-)
+THREAD_OWNER = os.path.join("src", "util", "parallel.cpp")
 
 
 
@@ -327,16 +324,15 @@ def check_line_codec(rel, code):
 def check_threads(rel, code):
     if not rel.startswith("src" + os.sep):
         return []
-    if rel.startswith(THREAD_ALLOW_PREFIXES):
+    if rel == THREAD_OWNER:
         return []
     findings = []
     stripped = strip_strings(code)
     for m in THREAD_PATTERN.finditer(stripped):
         findings.append((line_of(stripped, m.start()), "thread-discipline",
-                         f"'{m.group().strip()}' spawns outside the budgeted "
-                         f"pools — go through util::task_pool / "
-                         f"util::thread_budget (src/util) or the engine "
-                         f"sweep pool (src/api/engine*)"))
+                         f"'{m.group().strip()}' spawns a thread — run "
+                         f"parallel work through util::parallel_for "
+                         f"(src/util/parallel.hpp)"))
     return findings
 
 
@@ -543,12 +539,16 @@ def self_test():
          "src/svc/coordinator.cpp",
          "auto f() { return std::async([] {}); }",
          ["thread-discipline"]),
-        ("task_pool may spawn",
-         "src/util/task_pool.cpp",
+        ("parallel_for may spawn",
+         "src/util/parallel.cpp",
          "void f() { std::vector<std::thread> pool; }", []),
-        ("engine sweep pool may spawn",
+        ("engine sweep pool may not spawn",
          "src/api/engine.cpp",
-         "void f() { std::vector<std::thread> pool; }", []),
+         "void f() { std::vector<std::thread> pool; }",
+         ["thread-discipline"]),
+        ("other util files may not spawn",
+         "src/util/text.cpp", "void f() { std::thread t{[] {}}; }",
+         ["thread-discipline"]),
         ("hardware_concurrency is not a spawn",
          "src/opt/search.cpp",
          "auto n = std::thread::hardware_concurrency();", []),

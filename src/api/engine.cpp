@@ -5,13 +5,12 @@
 #include <exception>
 #include <mutex>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 
 #include "kibam/bank.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/task_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace bsched::api {
 
@@ -59,7 +58,7 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   stats.runs = total;
 
   BSCHED_TRACE_SPAN(sweep_span, "engine.run_sweep");
-  // Pool threads open their spans against this id explicitly — the
+  // Worker threads open their spans against this id explicitly — the
   // per-thread parent stack does not cross threads. (Unread when the
   // BSCHED_OBS=OFF macros drop their arguments.)
   [[maybe_unused]] const std::uint64_t sweep_parent = sweep_span.id();
@@ -121,8 +120,8 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   stats.evaluated = jobs.size();
   stats.cache_hits = total - jobs.size();
 
-  if (n_threads == 0) n_threads = std::thread::hardware_concurrency();
-  n_threads = std::clamp<std::size_t>(n_threads, 1, jobs.size());
+  if (n_threads == 0) n_threads = util::auto_width();
+  n_threads = std::min(n_threads, jobs.size());
 
   std::vector<run_result> results(jobs.size());
   std::vector<std::atomic<bool>> done(jobs.size());
@@ -133,7 +132,7 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   // order from one thread at a time, and the last evaluation to finish
   // drains the tail — no post-join sweep-up needed. A throwing sink
   // (contract violation) stops further deliveries; the first exception
-  // is rethrown on the calling thread once the pool has drained.
+  // is rethrown on the calling thread once every worker has finished.
   std::mutex deliver_mutex;
   std::size_t delivered = 0;                // guarded by deliver_mutex
   std::exception_ptr sink_error = nullptr;  // guarded by deliver_mutex
@@ -181,58 +180,42 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
     kibam::bank bank;
   };
   constexpr std::size_t max_cached_banks = 8;  // bounds memory per worker
-
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&]() noexcept {
-    std::vector<std::unique_ptr<cached_bank>> cache;
-    const auto bank_for = [&](const scenario& scn) -> const kibam::bank* {
-      if (scn.model != fidelity::discrete || scn.batteries.empty()) {
-        return nullptr;
-      }
-      const auto hit = std::find_if(cache.begin(), cache.end(), [&](auto& m) {
-        return m->key->batteries == scn.batteries && m->key->steps == scn.steps;
-      });
-      if (hit != cache.end()) return &(*hit)->bank;
-      try {
-        if (cache.size() == max_cached_banks) cache.erase(cache.begin());
-        cache.push_back(std::make_unique<cached_bank>(scn));
-      } catch (...) {
-        return nullptr;  // run() reproduces the build error
-      }
-      BSCHED_COUNTER_ADD("engine.bank_builds_total", 1);
-      return &cache.back()->bank;
-    };
-    for (std::size_t j = next.fetch_add(1); j < jobs.size();
-         j = next.fetch_add(1)) {
-      try {
-        BSCHED_TRACE_SPAN(job_span, "engine.job", sweep_parent);
-        results[j] = run_in(jobs[j], bank_for(jobs[j]));
-      } catch (const std::exception& e) {
-        results[j] = run_result{};
-        results[j].error = e.what();
-      } catch (...) {
-        results[j] = run_result{};
-        results[j].error = "unknown error";
-      }
-      done[j].store(true, std::memory_order_release);
-      flush();
+  std::vector<std::vector<std::unique_ptr<cached_bank>>> caches(n_threads);
+  const auto bank_for = [&](std::size_t worker,
+                            const scenario& scn) -> const kibam::bank* {
+    if (scn.model != fidelity::discrete || scn.batteries.empty()) {
+      return nullptr;
     }
+    auto& cache = caches[worker];
+    const auto hit = std::find_if(cache.begin(), cache.end(), [&](auto& m) {
+      return m->key->batteries == scn.batteries && m->key->steps == scn.steps;
+    });
+    if (hit != cache.end()) return &(*hit)->bank;
+    try {
+      if (cache.size() == max_cached_banks) cache.erase(cache.begin());
+      cache.push_back(std::make_unique<cached_bank>(scn));
+    } catch (...) {
+      return nullptr;  // run() reproduces the build error
+    }
+    BSCHED_COUNTER_ADD("engine.bank_builds_total", 1);
+    return &cache.back()->bank;
   };
 
-  if (n_threads == 1) {
-    worker();
-  } else {
-    // Lease the pool's width from the process thread budget so a search
-    // policy running inside a worker (opt:threads=0) sizes its own pool
-    // against what is left of the hardware concurrency — sweep-level and
-    // search-level parallelism compose without oversubscribing. Explicit
-    // inner thread counts are unaffected (the lease only informs grant()).
-    const util::thread_budget::lease lease{n_threads};
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  util::parallel_for(jobs.size(), n_threads,
+                     [&](std::size_t worker, std::size_t j) {
+    try {
+      BSCHED_TRACE_SPAN(job_span, "engine.job", sweep_parent);
+      results[j] = run_in(jobs[j], bank_for(worker, jobs[j]));
+    } catch (const std::exception& e) {
+      results[j] = run_result{};
+      results[j].error = e.what();
+    } catch (...) {
+      results[j] = run_result{};
+      results[j].error = "unknown error";
+    }
+    done[j].store(true, std::memory_order_release);
+    flush();
+  });
   BSCHED_ASSERT(delivered == total);
   if (sink_error != nullptr) std::rethrow_exception(sink_error);
   return stats;

@@ -1,5 +1,5 @@
 // The scenario engine: turns declarative scenarios into simulation runs,
-// single or batched across a worker pool.
+// single or batched across worker threads.
 //
 // Every policy — blind and model-aware alike — resolves through the
 // string registry (sched/registry.hpp); the engine's default registry is
@@ -14,9 +14,10 @@
 // run_result::search for all of them.
 //
 // `run_sweep` evaluates a replicated scenario grid (api/sweep.hpp) on
-// `n_threads` workers, streaming every completed run_result through a
-// result_sink in deterministic grid order and caching duplicate cells by
-// value; workers pull jobs one at a time, so long jobs run side by side.
+// `n_threads` workers — util::parallel_for, so the caller is one of them —
+// streaming every completed run_result through a result_sink in
+// deterministic grid order and caching duplicate cells by value; workers
+// pull jobs one at a time, so long jobs run side by side.
 // `run_batch` is a thin collecting sink over run_sweep. Scenarios are
 // self-contained (per-scenario RNG seeding, no shared state), so sweep
 // aggregates and batch results are byte-identical whatever the thread
@@ -59,9 +60,10 @@ class engine {
   /// (empty bank, unknown policy or load, horizon exceeded, ...).
   [[nodiscard]] run_result run(const scenario& scn) const;
 
-  /// Evaluates a replicated scenario grid on a pool of `n_threads`
-  /// workers (0 = hardware concurrency), pushing each completed result
-  /// through `sink` as it finishes — in grid order (cells outer,
+  /// Evaluates a replicated scenario grid on `n_threads` workers (0 =
+  /// auto, util::auto_width: the hardware concurrency, or 1 when called
+  /// from inside another multi-threaded region), pushing each completed
+  /// result through `sink` as it finishes — in grid order (cells outer,
   /// replications inner), serialized, so sink aggregates are
   /// deterministic whatever the thread count. Distinct cells are
   /// evaluated once and replayed for duplicates (sweep_result::
@@ -75,8 +77,8 @@ class engine {
                         std::function<void(const sweep_result&)> fn,
                         std::size_t n_threads = 0) const;
 
-  /// Evaluates every scenario on a pool of `n_threads` workers
-  /// (0 = hardware concurrency). Results are positionally aligned with
+  /// Evaluates every scenario on `n_threads` workers (0 = auto, as for
+  /// run_sweep). Results are positionally aligned with
   /// the input and identical to a sequential run; per-scenario failures
   /// are reported in run_result::error. Implemented as a collecting sink
   /// over run_sweep (one replication, no re-seeding), so scenarios run

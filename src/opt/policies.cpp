@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/text.hpp"
 
 namespace bsched::opt {
 
@@ -120,6 +122,10 @@ class lookahead_rollout_policy final : public sched::policy {
   sched::search_stats stats_;
 };
 
+/// Ceiling on a spec's `threads`. Specs arrive over the sweep wire
+/// format, and an explicit count starts that many threads per search.
+constexpr std::uint64_t max_spec_threads = 256;
+
 /// Spec-parameter overrides for the exact search, e.g.
 /// "opt:max_nodes=1000,prune=0,threads=4,warm_start=8".
 search_options search_opts_from(const spec& s, search_options opts) {
@@ -130,6 +136,11 @@ search_options search_opts_from(const spec& s, search_options opts) {
   opts.max_memo_entries =
       s.get_u64("max_memo_entries", opts.max_memo_entries);
   opts.threads = s.get_u64("threads", opts.threads);
+  if (opts.threads > max_spec_threads) {
+    throw error("opt: spec '" + clip(s.name) + "': parameter threads=" +
+                std::to_string(opts.threads) + " exceeds the ceiling of " +
+                std::to_string(max_spec_threads));
+  }
   opts.warm_start = s.get_u64("warm_start", opts.warm_start);
   return opts;
 }

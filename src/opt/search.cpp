@@ -6,11 +6,8 @@
 #include <cmath>
 #include <cstddef>
 #include <deque>
-#include <exception>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "kibam/scratch.hpp"
@@ -19,7 +16,7 @@
 #include "opt/policies.hpp"
 #include "sched/simulator.hpp"
 #include "util/error.hpp"
-#include "util/task_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace bsched::opt {
 
@@ -301,7 +298,7 @@ struct search_ctx {
 
 /// The recursive branch-and-bound machinery over one scratch pool and one
 /// (possibly shared) memo table. One evaluator serves the sequential
-/// search; the parallel phase runs one per subtree task and merges stats.
+/// search; the parallel phase runs one per worker and merges stats.
 ///
 /// Value contract, held inductively by node_value and run_from: a returned
 /// value is always an admissible upper bound on the true optimum, and it
@@ -684,12 +681,8 @@ class searcher {
 
  private:
   std::size_t worker_count() const {
-    if (opts_.threads == 1) return 1;
-    if (opts_.threads == 0) {  // auto: whatever the budget has left
-      return util::thread_budget::grant(
-          std::numeric_limits<std::size_t>::max());
-    }
-    return static_cast<std::size_t>(opts_.threads);
+    return opts_.threads == 0 ? util::auto_width()
+                              : static_cast<std::size_t>(opts_.threads);
   }
 
   /// Identity of (bank, load, direction) for shared-memo validation.
@@ -727,8 +720,8 @@ class searcher {
 
   /// Parallel evaluation of the root: a BFS skeleton expands the top of
   /// the tree into subtree tasks whose pruning floors are all fixed up
-  /// front (never a racing sibling's incumbent), the tasks run on the
-  /// work-stealing pool over the shared sharded memo, and the skeleton is
+  /// front (never a racing sibling's incumbent), the tasks run under
+  /// util::parallel_for over the shared sharded memo, and the skeleton is
   /// folded sequentially afterwards — so the root value is bit-identical
   /// to the sequential search for any worker count.
   std::int64_t parallel_root(evaluator& eval,
@@ -775,7 +768,7 @@ class searcher {
       }
     }
 
-    // Grow the frontier breadth-first until it feeds the pool; expansion
+    // Grow the frontier breadth-first until it feeds the workers; expansion
     // replays run_from's simulation and splits at its branch points.
     const std::size_t target = 4 * workers;
     for (std::size_t expanded = 0;
@@ -848,36 +841,26 @@ class searcher {
       }
     }
 
-    // Evaluate the remaining frontier on the pool, one evaluator (own
-    // scratch, own stats) per task over the shared memo.
+    // Evaluate the remaining frontier on `workers` workers, one evaluator
+    // (own scratch, own stats) per worker over the shared memo.
     std::vector<pending> tasks(std::make_move_iterator(frontier.begin()),
                                std::make_move_iterator(frontier.end()));
     if (!tasks.empty()) {
+      const std::size_t width = std::min(workers, tasks.size());
       std::vector<evaluator> evals;
-      evals.reserve(tasks.size());
-      for (std::size_t k = 0; k < tasks.size(); ++k) {
+      evals.reserve(width);
+      for (std::size_t w = 0; w < width; ++w) {
         evals.emplace_back(cx_, memo, nodes_total);
       }
-      std::mutex fail_mutex;
-      std::exception_ptr failure;
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(tasks.size());
-      for (std::size_t k = 0; k < tasks.size(); ++k) {
-        jobs.push_back([&, k] {
-          try {
-            tasks[k].value = evals[k].run_from(
-                tasks[k].bats, tasks[k].epoch, tasks[k].offset,
-                tasks[k].active, tasks[k].prune_below);
-          } catch (...) {
-            const std::scoped_lock lock(fail_mutex);
-            if (failure == nullptr) failure = std::current_exception();
-          }
-        });
-      }
-      const util::thread_budget::lease lease{workers - 1};
-      eval.stats.stolen_subtrees = util::task_pool::run(std::move(jobs),
-                                                        workers);
-      if (failure != nullptr) std::rethrow_exception(failure);
+      std::uint64_t on_caller = 0;  // written by worker 0 only
+      util::parallel_for(tasks.size(), workers,
+                         [&](std::size_t worker, std::size_t k) {
+        pending& t = tasks[k];
+        t.value = evals[worker].run_from(t.bats, t.epoch, t.offset, t.active,
+                                         t.prune_below);
+        if (worker == 0) ++on_caller;
+      });
+      eval.stats.stolen_subtrees = tasks.size() - on_caller;
       for (const evaluator& ev : evals) merge_stats(eval.stats, ev.stats);
       for (const pending& t : tasks) contribute(t.fold, t.value);
     }

@@ -30,10 +30,10 @@
 //    from node one; pruned children return upper bounds that never beat
 //    the incumbent, so the final optimum and its schedule stay exact;
 //  * with `threads > 1`, the top of the tree is expanded into subtree
-//    tasks evaluated on a work-stealing pool (util/task_pool.hpp) over a
-//    sharded concurrent memo. Every task's pruning floor is fixed before
-//    the fan-out (never a racing sibling's incumbent), so lifetime and
-//    decisions are bit-identical for any thread count.
+//    tasks that util::parallel_for (util/parallel.hpp) hands out to the
+//    workers over a sharded concurrent memo. Every task's pruning floor
+//    is fixed before the fan-out (never a racing sibling's incumbent), so
+//    lifetime and decisions are bit-identical for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -72,13 +72,15 @@ struct search_options {
   /// where the first incumbent is far from optimal.
   std::uint64_t warm_start = 1;
   /// Worker threads for subtree evaluation (1 = the historic sequential
-  /// search, bit-identical stats included). More than one enables the
-  /// work-stealing pool and the sharded memo; lifetime and decisions stay
-  /// bit-identical whatever the count (only effort counters may differ).
-  /// An explicit count is honoured exactly — oversubscription included,
-  /// the TSan stress suite depends on it — while 0 means "auto": take
-  /// whatever the process thread budget (util::thread_budget) has left,
-  /// so auto-sized searches nested under a sweep pool never oversubscribe.
+  /// search, bit-identical stats included). More than one fans subtrees
+  /// out over that many workers and shards the memo; lifetime and
+  /// decisions stay bit-identical whatever the count (only effort
+  /// counters may differ). An explicit count is honoured exactly —
+  /// oversubscription included, the TSan stress suite depends on it —
+  /// while 0 means "auto" (util::auto_width): the hardware concurrency at
+  /// top level, 1 inside a multi-threaded sweep, so auto-sized searches
+  /// nested under sweep workers never multiply threads. The "opt"/"worst"
+  /// specs cap the count at 256.
   std::uint64_t threads = 1;
   /// Optional transposition table shared between searches over the same
   /// bank, load and direction (make_shared_memo); batch cells differing

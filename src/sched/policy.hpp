@@ -128,7 +128,8 @@ struct search_stats {
   /// Warm-start incumbent seeded from lookahead rollouts, in time steps
   /// (0 when the warm start is off or seeded nothing).
   std::uint64_t incumbent_from_lookahead = 0;
-  /// Subtree tasks a parallel search worker stole from a sibling's queue.
+  /// Subtree tasks of a parallel search run by a worker other than the
+  /// calling thread (parallel_for worker != 0); 0 for sequential searches.
   std::uint64_t stolen_subtrees = 0;
   /// Shards backing the transposition table (1 = private single-lock).
   std::uint64_t memo_shards = 0;

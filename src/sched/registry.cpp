@@ -1,6 +1,7 @@
 #include "sched/registry.hpp"
 
-#include <charconv>
+#include <algorithm>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "util/text.hpp"
@@ -10,22 +11,15 @@ namespace bsched::sched {
 namespace {
 
 /// Parses a '-'-separated decision list, e.g. "0-1-0-1" or "2".
-std::vector<std::size_t> parse_decisions(const std::string& text) {
+std::vector<std::size_t> parse_decisions(std::string_view text) {
   std::vector<std::size_t> out;
   if (text.empty()) return out;  // pure best-of-n fallback
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t dash = std::min(text.find('-', pos), text.size());
-    std::size_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data() + pos, text.data() + dash, value);
-    require(ec == std::errc{} && ptr == text.data() + dash && dash > pos,
-            "fixed: decisions must be '-'-separated battery indices, got '" +
-                clip(text) + "'");
-    out.push_back(value);
-    pos = dash + 1;
+  while (true) {
+    const std::size_t dash = std::min(text.find('-'), text.size());
+    out.push_back(parse_u64(text.substr(0, dash), "fixed: decisions"));
+    if (dash == text.size()) return out;
+    text.remove_prefix(dash + 1);
   }
-  return out;
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ struct worker_options {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string name = "worker";  ///< Reported in the hello (logs only).
-  std::size_t n_threads = 0;    ///< Per-chunk sweep pool; 0 = hardware.
+  std::size_t n_threads = 0;    ///< Per-chunk sweep workers; 0 = auto.
   int dial_timeout_ms = 5000;
   /// Max quiet period on the control socket (waiting for a lease, the
   /// sweep, or an ack) before the worker gives up on the coordinator.

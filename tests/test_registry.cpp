@@ -88,6 +88,27 @@ TEST(Registry, RejectsUnknownNamesAndParameters) {
   EXPECT_THROW((void)make_policy("random:sede=42"), error);
   EXPECT_THROW((void)make_policy("fixed"), error);
   EXPECT_THROW((void)make_policy("fixed:decisions=0;1"), error);
+  EXPECT_THROW((void)make_policy("fixed:decisions=0--1"), error);
+  EXPECT_THROW((void)make_policy("fixed:decisions=-1"), error);
+  EXPECT_THROW((void)make_policy("fixed:decisions=1-"), error);
+}
+
+TEST(Registry, ExactSearchThreadsAreCappedAt256) {
+  // Specs reach workers over the wire, so a hostile thread count must be
+  // refused when the spec is parsed. The policies are only constructed —
+  // never bound or run — so no thread is started here.
+  const registry model = opt::model_registry();
+  for (const char* name : {"opt", "worst"}) {
+    const std::string too_many = std::string{name} + ":threads=257";
+    try {
+      (void)model.make(too_many);
+      ADD_FAILURE() << too_many << " should have thrown";
+    } catch (const error& e) {
+      EXPECT_NE(std::string{e.what()}.find("threads"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW((void)model.make(std::string{name} + ":threads=256"));
+  }
 }
 
 TEST(Registry, UnknownParameterNamesTheAcceptedSet) {

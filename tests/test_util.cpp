@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "api/engine.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/tdigest.hpp"
@@ -25,6 +32,84 @@ TEST(Error, RequireThrowsWithMessage) {
   } catch (const error& e) {
     EXPECT_STREQ(e.what(), "broken precondition");
   }
+}
+
+TEST(Parallel, EveryIndexRunsExactlyOnce) {
+  for (const std::size_t width : {1u, 2u, 5u}) {
+    for (const std::size_t count : {0u, 1u, 7u, 100u}) {
+      std::vector<std::atomic<int>> runs(count);
+      std::atomic<bool> worker_in_range{true};
+      util::parallel_for(count, width, [&](std::size_t worker,
+                                           std::size_t i) {
+        if (worker >= width) worker_in_range = false;
+        runs[i].fetch_add(1);
+      });
+      EXPECT_TRUE(worker_in_range) << width << " wide, " << count;
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << width << " wide, index " << i;
+      }
+    }
+  }
+}
+
+TEST(Parallel, WidthOneStartsNoThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t calls = 0;
+  util::parallel_for(7, 1, [&](std::size_t worker, std::size_t) {
+    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 7u);
+}
+
+TEST(Parallel, FirstExceptionIsRethrownAfterTheJoin) {
+  for (const std::size_t width : {1u, 2u, 5u}) {
+    std::atomic<int> active{0};  // bodies still running
+    try {
+      util::parallel_for(100, width, [&](std::size_t, std::size_t i) {
+        if (i == 3) throw std::runtime_error("index 3 failed");
+        active.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        active.fetch_sub(1);
+      });
+      ADD_FAILURE() << width << " wide: should have thrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 3 failed");
+    }
+    EXPECT_EQ(active.load(), 0) << width << " wide: returned before the join";
+  }
+}
+
+TEST(Parallel, AutoWidthIsOneInsideAMultiThreadedRegion) {
+  // opt:threads=0 is auto: hardware concurrency at top level, 1 inside a
+  // multi-threaded sweep. memo_shards shows which one a search got (a
+  // private memo is sharded only when the search runs parallel).
+  const api::engine eng;
+  const auto scenario_on = [](load::test_load l) {
+    return api::scenario{.label = {},
+                         .batteries = {kibam::battery_b1(),
+                                       kibam::battery_b1()},
+                         .load = l,
+                         .policy = "opt:threads=0",
+                         .model = api::fidelity::discrete,
+                         .steps = {},
+                         .sim = {}};
+  };
+  // Two distinct scenarios, so the 2-wide batch really runs two workers.
+  const std::vector<api::scenario> batch = {
+      scenario_on(load::test_load::cl_alt),
+      scenario_on(load::test_load::ils_alt)};
+  for (const api::run_result& r : eng.run_batch(batch, 2)) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.search.memo_shards, 1u);
+  }
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "top-level auto width needs >= 2 CPUs";
+  }
+  const api::run_result top = eng.run(batch.front());
+  ASSERT_TRUE(top.ok()) << top.error;
+  EXPECT_GT(top.search.memo_shards, 1u);
 }
 
 TEST(Rng, DeterministicInSeed) {
